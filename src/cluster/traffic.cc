@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
+#include "common/file_io.h"
 #include "common/json.h"
 #include "common/logging.h"
 
@@ -204,12 +204,10 @@ saveTrace(const std::vector<FleetRequest> &trace,
 std::vector<FleetRequest>
 loadTrace(const std::string &path)
 {
-    std::ifstream file(path);
-    SOUFFLE_REQUIRE(file.good(),
+    const std::optional<std::string> text = readFileContents(path);
+    SOUFFLE_REQUIRE(text.has_value(),
                     "cannot read trace file '" << path << "'");
-    std::ostringstream text;
-    text << file.rdbuf();
-    return traceFromJson(text.str());
+    return traceFromJson(*text);
 }
 
 } // namespace souffle::cluster

@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <sstream>
 
+#include "common/file_io.h"
 #include "common/json.h"
 #include "common/logging.h"
 
@@ -188,13 +188,11 @@ std::optional<std::string>
 ArtifactCache::loadFromDisk(const ArtifactKey &key)
 {
     std::string path = diskPathFor(key);
-    std::ifstream file(path);
-    if (!file)
+    const std::optional<std::string> text = readFileContents(path);
+    if (!text)
         return std::nullopt;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
     try {
-        JsonValue doc = parseJson(buffer.str());
+        JsonValue doc = parseJson(*text);
         // Verify the full key, not just the hashed file name: a hash
         // collision or a foreign file must read as a miss, never as a
         // wrong artifact.

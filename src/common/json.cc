@@ -1,9 +1,9 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -161,7 +161,395 @@ JsonWriter::setDoublePrecision(int digits)
 }
 
 // --------------------------------------------------------------------
-// Reader.
+// Pull reader.
+
+namespace {
+
+/** Deeper documents are rejected rather than risking the stack of a
+ *  recursive consumer (the tree builder, the expression reader). */
+constexpr size_t kMaxDepth = 4096;
+
+bool
+isDigit(char ch)
+{
+    return ch >= '0' && ch <= '9';
+}
+
+/** An integral double that converts to int64 exactly (|x| <= 2^53). */
+bool
+isExactInt(double number)
+{
+    return std::nearbyint(number) == number
+           && number >= -9.007199254740992e15
+           && number <= 9.007199254740992e15;
+}
+
+} // namespace
+
+void
+JsonReader::fail(std::string_view what) const
+{
+    SOUFFLE_FATAL("JSON parse error at offset " << pos << ": " << what);
+}
+
+void
+JsonReader::failExpected(char wanted) const
+{
+    fail(std::string("expected '") + wanted + "'");
+}
+
+void
+JsonReader::beginRoot()
+{
+    if (rootSeen)
+        fail("trailing characters after JSON document");
+    rootSeen = true;
+}
+
+void
+JsonReader::openContainer(bool object)
+{
+    beginValue();
+    expect(object ? '{' : '[');
+    if (levels.size() >= kMaxDepth)
+        fail("nesting too deep");
+    levels.push_back(Level{object, false});
+}
+
+void
+JsonReader::closeContainer(bool object)
+{
+    if (levels.empty() || levels.back().object != object)
+        fail(object ? "no object to close" : "no array to close");
+    if (afterKey || elementPending)
+        fail("expected a value");
+    expect(object ? '}' : ']');
+    levels.pop_back();
+}
+
+void
+JsonReader::keySlow(std::string_view expected)
+{
+    const size_t start = pos;
+    std::string name;
+    parseString(name);
+    if (name != expected) {
+        pos = start;
+        fail("expected member '" + std::string(expected) + "', found '"
+             + name + "'");
+    }
+}
+
+std::string
+JsonReader::nextKey()
+{
+    beginKey();
+    std::string name;
+    parseString(name);
+    expect(':');
+    afterKey = true;
+    return name;
+}
+
+JsonReader::Kind
+JsonReader::peekKind()
+{
+    switch (peekChar()) {
+      case '{':
+        return Kind::kObject;
+      case '[':
+        return Kind::kArray;
+      case '"':
+        return Kind::kString;
+      case 't':
+      case 'f':
+        return Kind::kBool;
+      case 'n':
+        return Kind::kNull;
+      default:
+        return Kind::kNumber;
+    }
+}
+
+std::string_view
+JsonReader::scanNumber(bool &integral)
+{
+    skipWhitespace();
+    const size_t start = pos;
+    integral = true;
+    if (pos < text.size() && text[pos] == '-')
+        ++pos;
+    if (pos >= text.size() || !isDigit(text[pos]))
+        fail("invalid number");
+    if (text[pos] == '0')
+        ++pos;
+    else
+        while (pos < text.size() && isDigit(text[pos]))
+            ++pos;
+    if (pos < text.size() && text[pos] == '.') {
+        integral = false;
+        ++pos;
+        if (pos >= text.size() || !isDigit(text[pos]))
+            fail("digit required after decimal point");
+        while (pos < text.size() && isDigit(text[pos]))
+            ++pos;
+    }
+    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+        integral = false;
+        ++pos;
+        if (pos < text.size() && (text[pos] == '+' || text[pos] == '-'))
+            ++pos;
+        if (pos >= text.size() || !isDigit(text[pos]))
+            fail("digit required in exponent");
+        while (pos < text.size() && isDigit(text[pos]))
+            ++pos;
+    }
+    return text.substr(start, pos - start);
+}
+
+double
+JsonReader::readDouble()
+{
+    beginValue();
+    bool integral = false;
+    const std::string_view token = scanNumber(integral);
+    double value = 0.0;
+    const auto [end, err] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (err == std::errc::result_out_of_range) {
+        // Overflow to +-inf and underflow to 0, as strtod rounds.
+        return std::strtod(std::string(token).c_str(), nullptr);
+    }
+    if (err != std::errc() || end != token.data() + token.size())
+        fail("invalid number");
+    return value;
+}
+
+int64_t
+JsonReader::readInt()
+{
+    beginValue();
+    skipWhitespace();
+    const size_t start = pos;
+    // Fast path: up to 18 plain digits cannot overflow int64.
+    size_t at = pos;
+    const bool negative = at < text.size() && text[at] == '-';
+    at += negative ? 1 : 0;
+    const size_t first = at;
+    int64_t magnitude = 0;
+    while (at < text.size() && at - first < 18 && isDigit(text[at]))
+        magnitude = magnitude * 10 + (text[at++] - '0');
+    const bool plain = at > first
+                       && (text[first] != '0' || at == first + 1)
+                       && (at == text.size()
+                           || (!isDigit(text[at]) && text[at] != '.'
+                               && text[at] != 'e' && text[at] != 'E'));
+    if (plain) {
+        pos = at;
+        return negative ? -magnitude : magnitude;
+    }
+
+    bool integral = false;
+    const std::string_view token = scanNumber(integral);
+    if (integral) {
+        int64_t value = 0;
+        const auto [end, err] = std::from_chars(
+            token.data(), token.data() + token.size(), value);
+        if (err == std::errc() && end == token.data() + token.size())
+            return value;
+        pos = start;
+        fail("integer out of int64 range");
+    }
+    double number = 0.0;
+    const auto [end, err] = std::from_chars(
+        token.data(), token.data() + token.size(), number);
+    if (err != std::errc() || end != token.data() + token.size()
+        || !isExactInt(number)) {
+        pos = start;
+        fail("number is not an exact int64");
+    }
+    return static_cast<int64_t>(number);
+}
+
+bool
+JsonReader::readBool()
+{
+    beginValue();
+    const char first = peekChar();
+    if (first == 't' && text.compare(pos, 4, "true") == 0) {
+        pos += 4;
+        return true;
+    }
+    if (first == 'f' && text.compare(pos, 5, "false") == 0) {
+        pos += 5;
+        return false;
+    }
+    fail("expected a bool");
+}
+
+void
+JsonReader::readNull()
+{
+    beginValue();
+    if (peekChar() != 'n' || text.compare(pos, 4, "null") != 0)
+        fail("expected null");
+    pos += 4;
+}
+
+std::string
+JsonReader::readString()
+{
+    beginValue();
+    std::string out;
+    parseString(out);
+    return out;
+}
+
+void
+JsonReader::skipValue()
+{
+    switch (peekKind()) {
+      case Kind::kObject:
+        beginObject();
+        while (hasNext()) {
+            nextKey();
+            skipValue();
+        }
+        endObject();
+        return;
+      case Kind::kArray:
+        beginArray();
+        while (hasNext())
+            skipValue();
+        endArray();
+        return;
+      case Kind::kString:
+        readString();
+        return;
+      case Kind::kBool:
+        readBool();
+        return;
+      case Kind::kNull:
+        readNull();
+        return;
+      case Kind::kNumber:
+        readDouble();
+        return;
+    }
+}
+
+void
+JsonReader::finish()
+{
+    if (!levels.empty() || !rootSeen)
+        fail("unexpected end of input");
+    skipWhitespace();
+    if (pos != text.size())
+        fail("trailing characters after JSON document");
+}
+
+void
+JsonReader::parseString(std::string &out)
+{
+    expect('"');
+    while (true) {
+        // Copy the run up to the next quote, escape or control
+        // character in one append.
+        const size_t run = pos;
+        while (pos < text.size() && text[pos] != '"' && text[pos] != '\\'
+               && static_cast<unsigned char>(text[pos]) >= 0x20)
+            ++pos;
+        out.append(text.data() + run, pos - run);
+        if (pos >= text.size())
+            fail("unterminated string");
+        const char ch = text[pos++];
+        if (ch == '"')
+            return;
+        if (ch != '\\') {
+            --pos;
+            fail("unescaped control character in string");
+        }
+        if (pos >= text.size())
+            fail("unterminated escape sequence");
+        switch (text[pos++]) {
+          case '"': out += '"'; break;
+          case '\\': out += '\\'; break;
+          case '/': out += '/'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
+          case 'n': out += '\n'; break;
+          case 'r': out += '\r'; break;
+          case 't': out += '\t'; break;
+          case 'u': parseUnicodeEscape(out); break;
+          default: fail("invalid escape sequence");
+        }
+    }
+}
+
+/**
+ * \uXXXX escape, encoded back to UTF-8. Surrogate pairs are accepted;
+ * lone surrogates become U+FFFD, matching the common lenient-decoder
+ * behavior (the writer never emits them).
+ */
+void
+JsonReader::parseUnicodeEscape(std::string &out)
+{
+    uint32_t code = parseHex4();
+    if (code >= 0xd800 && code <= 0xdbff) {
+        if (pos + 1 < text.size() && text[pos] == '\\'
+            && text[pos + 1] == 'u') {
+            pos += 2;
+            const uint32_t low = parseHex4();
+            if (low >= 0xdc00 && low <= 0xdfff)
+                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            else
+                code = 0xfffd;
+        } else {
+            code = 0xfffd;
+        }
+    } else if (code >= 0xdc00 && code <= 0xdfff) {
+        code = 0xfffd;
+    }
+    if (code < 0x80) {
+        out += static_cast<char>(code);
+    } else if (code < 0x800) {
+        out += static_cast<char>(0xc0 | (code >> 6));
+        out += static_cast<char>(0x80 | (code & 0x3f));
+    } else if (code < 0x10000) {
+        out += static_cast<char>(0xe0 | (code >> 12));
+        out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (code & 0x3f));
+    } else {
+        out += static_cast<char>(0xf0 | (code >> 18));
+        out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+        out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (code & 0x3f));
+    }
+}
+
+uint32_t
+JsonReader::parseHex4()
+{
+    uint32_t code = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (pos >= text.size())
+            fail("unexpected end of input");
+        const char ch = text[pos++];
+        code <<= 4;
+        if (ch >= '0' && ch <= '9')
+            code |= static_cast<uint32_t>(ch - '0');
+        else if (ch >= 'a' && ch <= 'f')
+            code |= static_cast<uint32_t>(ch - 'a' + 10);
+        else if (ch >= 'A' && ch <= 'F')
+            code |= static_cast<uint32_t>(ch - 'A' + 10);
+        else
+            fail("invalid \\u escape digit");
+    }
+    return code;
+}
+
+// --------------------------------------------------------------------
+// Document tree.
 
 bool
 JsonValue::asBool() const
@@ -180,12 +568,10 @@ JsonValue::asNumber() const
 int64_t
 JsonValue::asInt() const
 {
-    double number = asNumber();
-    SOUFFLE_REQUIRE(std::nearbyint(number) == number
-                        && number >= -9.007199254740992e15
-                        && number <= 9.007199254740992e15,
-                    "JSON number " << number
-                                   << " is not an exact int64");
+    const double number = asNumber();
+    SOUFFLE_REQUIRE(isExactInt(number), "JSON number "
+                                            << number
+                                            << " is not an exact int64");
     return static_cast<int64_t>(number);
 }
 
@@ -211,7 +597,7 @@ JsonValue::members() const
 }
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (!isObject())
         return nullptr;
@@ -222,7 +608,7 @@ JsonValue::find(const std::string &key) const
 }
 
 const JsonValue &
-JsonValue::at(const std::string &key) const
+JsonValue::at(std::string_view key) const
 {
     const JsonValue *member = find(key);
     SOUFFLE_REQUIRE(member != nullptr,
@@ -232,310 +618,57 @@ JsonValue::at(const std::string &key) const
 
 namespace detail {
 
-/** Recursive-descent parser over the full JSON grammar. */
-class JsonParser
+/** Builds a `JsonValue` tree from a `JsonReader`. */
+class JsonTreeBuilder
 {
   public:
-    explicit JsonParser(const std::string &text) : text(text) {}
-
-    JsonValue
-    parseDocument()
+    static JsonValue
+    build(JsonReader &reader)
     {
-        JsonValue value = parseValue();
-        skipWhitespace();
-        if (pos != text.size())
-            fail("trailing characters after JSON document");
+        JsonValue value;
+        value.valueKind = reader.peekKind();
+        switch (value.valueKind) {
+          case JsonValue::Kind::kObject:
+            reader.beginObject();
+            while (reader.hasNext()) {
+                std::string name = reader.nextKey();
+                value.objectMembers.emplace_back(std::move(name),
+                                                 build(reader));
+            }
+            reader.endObject();
+            break;
+          case JsonValue::Kind::kArray:
+            reader.beginArray();
+            while (reader.hasNext())
+                value.arrayItems.push_back(build(reader));
+            reader.endArray();
+            break;
+          case JsonValue::Kind::kString:
+            value.stringValue = reader.readString();
+            break;
+          case JsonValue::Kind::kBool:
+            value.boolValue = reader.readBool();
+            break;
+          case JsonValue::Kind::kNull:
+            reader.readNull();
+            break;
+          case JsonValue::Kind::kNumber:
+            value.numberValue = reader.readDouble();
+            break;
+        }
         return value;
     }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        SOUFFLE_FATAL("JSON parse error at offset " << pos << ": "
-                                                    << what);
-    }
-
-    void
-    skipWhitespace()
-    {
-        while (pos < text.size()
-               && (text[pos] == ' ' || text[pos] == '\t'
-                   || text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        if (pos >= text.size())
-            fail("unexpected end of input");
-        return text[pos];
-    }
-
-    void
-    expect(char wanted)
-    {
-        if (peek() != wanted)
-            fail(std::string("expected '") + wanted + "'");
-        ++pos;
-    }
-
-    bool
-    consumeLiteral(const char *literal)
-    {
-        size_t len = std::strlen(literal);
-        if (text.compare(pos, len, literal) != 0)
-            return false;
-        pos += len;
-        return true;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        skipWhitespace();
-        switch (peek()) {
-          case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
-          case '"': {
-            JsonValue value;
-            value.valueKind = JsonValue::Kind::kString;
-            value.stringValue = parseString();
-            return value;
-          }
-          case 't':
-            if (!consumeLiteral("true"))
-                fail("invalid literal");
-            {
-                JsonValue value;
-                value.valueKind = JsonValue::Kind::kBool;
-                value.boolValue = true;
-                return value;
-            }
-          case 'f':
-            if (!consumeLiteral("false"))
-                fail("invalid literal");
-            {
-                JsonValue value;
-                value.valueKind = JsonValue::Kind::kBool;
-                return value;
-            }
-          case 'n':
-            if (!consumeLiteral("null"))
-                fail("invalid literal");
-            return JsonValue{};
-          default:
-            return parseNumber();
-        }
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonValue value;
-        value.valueKind = JsonValue::Kind::kObject;
-        skipWhitespace();
-        if (peek() == '}') {
-            ++pos;
-            return value;
-        }
-        while (true) {
-            skipWhitespace();
-            std::string name = parseString();
-            skipWhitespace();
-            expect(':');
-            value.objectMembers.emplace_back(std::move(name),
-                                             parseValue());
-            skipWhitespace();
-            char next = peek();
-            ++pos;
-            if (next == '}')
-                return value;
-            if (next != ',')
-                fail("expected ',' or '}' in object");
-        }
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonValue value;
-        value.valueKind = JsonValue::Kind::kArray;
-        skipWhitespace();
-        if (peek() == ']') {
-            ++pos;
-            return value;
-        }
-        while (true) {
-            value.arrayItems.push_back(parseValue());
-            skipWhitespace();
-            char next = peek();
-            ++pos;
-            if (next == ']')
-                return value;
-            if (next != ',')
-                fail("expected ',' or ']' in array");
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string result;
-        while (true) {
-            if (pos >= text.size())
-                fail("unterminated string");
-            char ch = text[pos++];
-            if (ch == '"')
-                return result;
-            if (static_cast<unsigned char>(ch) < 0x20)
-                fail("unescaped control character in string");
-            if (ch != '\\') {
-                result += ch;
-                continue;
-            }
-            if (pos >= text.size())
-                fail("unterminated escape sequence");
-            char esc = text[pos++];
-            switch (esc) {
-              case '"': result += '"'; break;
-              case '\\': result += '\\'; break;
-              case '/': result += '/'; break;
-              case 'b': result += '\b'; break;
-              case 'f': result += '\f'; break;
-              case 'n': result += '\n'; break;
-              case 'r': result += '\r'; break;
-              case 't': result += '\t'; break;
-              case 'u': result += parseUnicodeEscape(); break;
-              default: fail("invalid escape sequence");
-            }
-        }
-    }
-
-    /**
-     * \uXXXX escape, encoded back to UTF-8. Surrogate pairs are
-     * accepted; lone surrogates become U+FFFD, matching the common
-     * lenient-decoder behavior (the writer never emits them).
-     */
-    std::string
-    parseUnicodeEscape()
-    {
-        uint32_t code = parseHex4();
-        if (code >= 0xd800 && code <= 0xdbff) {
-            if (pos + 1 < text.size() && text[pos] == '\\'
-                && text[pos + 1] == 'u') {
-                pos += 2;
-                uint32_t low = parseHex4();
-                if (low >= 0xdc00 && low <= 0xdfff)
-                    code = 0x10000 + ((code - 0xd800) << 10)
-                           + (low - 0xdc00);
-                else
-                    code = 0xfffd;
-            } else {
-                code = 0xfffd;
-            }
-        } else if (code >= 0xdc00 && code <= 0xdfff) {
-            code = 0xfffd;
-        }
-        std::string utf8;
-        if (code < 0x80) {
-            utf8 += static_cast<char>(code);
-        } else if (code < 0x800) {
-            utf8 += static_cast<char>(0xc0 | (code >> 6));
-            utf8 += static_cast<char>(0x80 | (code & 0x3f));
-        } else if (code < 0x10000) {
-            utf8 += static_cast<char>(0xe0 | (code >> 12));
-            utf8 += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            utf8 += static_cast<char>(0x80 | (code & 0x3f));
-        } else {
-            utf8 += static_cast<char>(0xf0 | (code >> 18));
-            utf8 += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
-            utf8 += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            utf8 += static_cast<char>(0x80 | (code & 0x3f));
-        }
-        return utf8;
-    }
-
-    uint32_t
-    parseHex4()
-    {
-        uint32_t code = 0;
-        for (int i = 0; i < 4; ++i) {
-            char ch = peek();
-            ++pos;
-            code <<= 4;
-            if (ch >= '0' && ch <= '9')
-                code |= static_cast<uint32_t>(ch - '0');
-            else if (ch >= 'a' && ch <= 'f')
-                code |= static_cast<uint32_t>(ch - 'a' + 10);
-            else if (ch >= 'A' && ch <= 'F')
-                code |= static_cast<uint32_t>(ch - 'A' + 10);
-            else
-                fail("invalid \\u escape digit");
-        }
-        return code;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        size_t start = pos;
-        if (peek() == '-')
-            ++pos;
-        if (pos >= text.size()
-            || !(text[pos] >= '0' && text[pos] <= '9'))
-            fail("invalid number");
-        if (text[pos] == '0')
-            ++pos;
-        else
-            while (pos < text.size() && text[pos] >= '0'
-                   && text[pos] <= '9')
-                ++pos;
-        if (pos < text.size() && text[pos] == '.') {
-            ++pos;
-            if (pos >= text.size()
-                || !(text[pos] >= '0' && text[pos] <= '9'))
-                fail("digit required after decimal point");
-            while (pos < text.size() && text[pos] >= '0'
-                   && text[pos] <= '9')
-                ++pos;
-        }
-        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-            if (pos < text.size()
-                && (text[pos] == '+' || text[pos] == '-'))
-                ++pos;
-            if (pos >= text.size()
-                || !(text[pos] >= '0' && text[pos] <= '9'))
-                fail("digit required in exponent");
-            while (pos < text.size() && text[pos] >= '0'
-                   && text[pos] <= '9')
-                ++pos;
-        }
-        JsonValue value;
-        value.valueKind = JsonValue::Kind::kNumber;
-        value.numberValue =
-            std::strtod(text.substr(start, pos - start).c_str(),
-                        nullptr);
-        return value;
-    }
-
-    const std::string &text;
-    size_t pos = 0;
 };
 
 } // namespace detail
 
 JsonValue
-parseJson(const std::string &text)
+parseJson(std::string_view text)
 {
-    return detail::JsonParser(text).parseDocument();
+    JsonReader reader(text);
+    JsonValue doc = detail::JsonTreeBuilder::build(reader);
+    reader.finish();
+    return doc;
 }
 
 } // namespace souffle

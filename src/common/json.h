@@ -15,15 +15,21 @@
  * does not (`"key":value`, the chrome-trace style). Neither emits
  * newlines; callers that want them insert `newline()` markers.
  *
- * `JsonValue`/`parseJson` is the matching reader, added for the
- * on-disk artifact cache (which must read back what it wrote). It is
- * a plain recursive-descent parser over the full JSON grammar;
- * objects preserve member order.
+ * `JsonReader` is the matching pull reader: a cursor over the text
+ * that callers drive token by token (begin/end containers, expected
+ * keys, typed scalars). The compiled-artifact deserializers use it to
+ * build IR in one pass with no intermediate tree. It owns the JSON
+ * grammar, escape handling and number rules.
+ *
+ * `JsonValue`/`parseJson` builds a document tree on top of
+ * `JsonReader`, for readers that look members up by name (the on-disk
+ * artifact cache, fleet traces). Objects preserve member order.
  */
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -95,14 +101,29 @@ class JsonWriter
     bool pendingNewline = false;
 };
 
-namespace detail {
-class JsonParser;
-} // namespace detail
-
-/** One parsed JSON value (see `parseJson`). */
-class JsonValue
+/**
+ * Pull reader over one JSON document.
+ *
+ * The caller walks the document in the order it was written:
+ *
+ *     r.beginObject();
+ *     r.key("version"); int64_t v = r.readInt();
+ *     r.key("items"); r.beginArray();
+ *     while (r.hasNext()) items.push_back(r.readDouble());
+ *     r.endArray();
+ *     r.endObject();
+ *     r.finish();
+ *
+ * Every deviation from the expected shape (a different key, a missing
+ * comma, a truncated document, a value of the wrong kind) throws
+ * FatalError carrying the byte offset. Nothing is buffered: the
+ * reader keeps only a position and one entry per open container, and
+ * views the text, which must outlive it.
+ */
+class JsonReader
 {
   public:
+    /** Kind of the value at the cursor (see `peekKind`). */
     enum class Kind : uint8_t {
         kNull,
         kBool,
@@ -111,6 +132,180 @@ class JsonValue
         kArray,
         kObject,
     };
+
+    explicit JsonReader(std::string_view text) : text(text) {}
+
+    void beginObject() { openContainer(true); }
+    void endObject() { closeContainer(true); }
+    void beginArray() { openContainer(false); }
+    void endArray() { closeContainer(false); }
+
+    /**
+     * True when the innermost open container has another element
+     * (consuming the ',' before it); false at its closing bracket.
+     * Inside an object the element starts with `key`/`nextKey`.
+     */
+    bool
+    hasNext()
+    {
+        if (elementPending)
+            return true;
+        if (levels.empty() || afterKey)
+            fail("no container element to read");
+        if (peekChar() == (levels.back().object ? '}' : ']'))
+            return false;
+        beginElement();
+        elementPending = true;
+        return true;
+    }
+
+    /** Read the next member name; throws unless it is @p expected. */
+    void
+    key(std::string_view expected)
+    {
+        beginKey();
+        // Fast path: the name is spelled out verbatim (no escapes).
+        const size_t close = pos + 1 + expected.size();
+        if (close < text.size() && text[pos] == '"' && text[close] == '"'
+            && text.compare(pos + 1, expected.size(), expected) == 0)
+            pos = close + 1;
+        else
+            keySlow(expected);
+        expect(':');
+        afterKey = true;
+    }
+
+    /** Read the next member name, whatever it is. */
+    std::string nextKey();
+
+    /** Kind of the next value, without consuming it. */
+    Kind peekKind();
+
+    /** An integer; a fraction or exponent must still be integral. */
+    int64_t readInt();
+    double readDouble();
+    bool readBool();
+    std::string readString();
+    void readNull();
+    /** Consume the next value, containers included. */
+    void skipValue();
+
+    /** Require that only whitespace follows the document. */
+    void finish();
+
+    /** Throw FatalError for @p what at the current offset. */
+    [[noreturn]] void fail(std::string_view what) const;
+
+  private:
+    struct Level
+    {
+        bool object;
+        bool started; ///< At least one element has begun.
+    };
+
+    void
+    skipWhitespace()
+    {
+        while (pos < text.size()
+               && (text[pos] == ' ' || text[pos] == '\n'
+                   || text[pos] == '\t' || text[pos] == '\r'))
+            ++pos;
+    }
+
+    /** Next non-whitespace character, not consumed. */
+    char
+    peekChar()
+    {
+        skipWhitespace();
+        if (pos >= text.size())
+            fail("unexpected end of input");
+        return text[pos];
+    }
+
+    void
+    expect(char wanted)
+    {
+        if (peekChar() != wanted)
+            failExpected(wanted);
+        ++pos;
+    }
+
+    /** Separator bookkeeping before an array item or object key. */
+    void
+    beginElement()
+    {
+        if (elementPending) {
+            elementPending = false;
+            return;
+        }
+        Level &level = levels.back();
+        if (level.started)
+            expect(',');
+        level.started = true;
+    }
+
+    /** Bookkeeping before any value (checks a key preceded it). */
+    void
+    beginValue()
+    {
+        if (levels.empty())
+            beginRoot();
+        else if (levels.back().object)
+            takeKey();
+        else
+            beginElement();
+    }
+
+    /** Bookkeeping before a member name; leaves the cursor on it. */
+    void
+    beginKey()
+    {
+        if (levels.empty() || !levels.back().object || afterKey)
+            fail("member name out of place");
+        beginElement();
+        skipWhitespace();
+    }
+
+    void
+    takeKey()
+    {
+        if (!afterKey)
+            fail("expected a member name");
+        afterKey = false;
+    }
+
+    void beginRoot();
+    void openContainer(bool object);
+    void closeContainer(bool object);
+    void keySlow(std::string_view expected);
+    [[noreturn]] void failExpected(char wanted) const;
+    /** Scan a number token; @p integral reports no fraction/exponent. */
+    std::string_view scanNumber(bool &integral);
+    /** Parse a string at the cursor, appending it to @p out. */
+    void parseString(std::string &out);
+    void parseUnicodeEscape(std::string &out);
+    uint32_t parseHex4();
+
+    std::string_view text;
+    size_t pos = 0;
+    std::vector<Level> levels;
+    /** `hasNext` consumed the separator of the next element. */
+    bool elementPending = false;
+    /** A key was read and its value has not begun yet. */
+    bool afterKey = false;
+    /** The top-level value has begun. */
+    bool rootSeen = false;
+};
+
+namespace detail {
+class JsonTreeBuilder;
+} // namespace detail
+
+/** One parsed JSON value (see `parseJson`). */
+class JsonValue
+{
+  public:
+    using Kind = JsonReader::Kind;
 
     JsonValue() = default;
 
@@ -132,12 +327,12 @@ class JsonValue
     const std::vector<std::pair<std::string, JsonValue>> &members() const;
 
     /** Object member lookup; nullptr when absent (or not an object). */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
     /** Object member lookup; throws FatalError when absent. */
-    const JsonValue &at(const std::string &key) const;
+    const JsonValue &at(std::string_view key) const;
 
   private:
-    friend class detail::JsonParser;
+    friend class detail::JsonTreeBuilder;
 
     Kind valueKind = Kind::kNull;
     bool boolValue = false;
@@ -152,6 +347,6 @@ class JsonValue
  * Throws FatalError with an offset-carrying message on malformed
  * input, including trailing garbage after the document.
  */
-JsonValue parseJson(const std::string &text);
+JsonValue parseJson(std::string_view text);
 
 } // namespace souffle

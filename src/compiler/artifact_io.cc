@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <fstream>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 #include <dirent.h>
 #include <sys/stat.h>
 
+#include "common/file_io.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "kernel/serialize.h"
@@ -37,11 +39,9 @@ writeFile(const std::string &path, const std::string &content)
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream file(path);
-    SOUFFLE_REQUIRE(file.good(), "cannot open " << path);
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    return buffer.str();
+    std::optional<std::string> content = readFileContents(path);
+    SOUFFLE_REQUIRE(content.has_value(), "cannot open " << path);
+    return std::move(*content);
 }
 
 bool
@@ -69,18 +69,29 @@ serializeMeta(const ArtifactMeta &meta)
 }
 
 ArtifactMeta
-deserializeMeta(const std::string &text)
+deserializeMeta(std::string_view text)
 {
-    const JsonValue doc = parseJson(text);
+    JsonReader r(text);
     ArtifactMeta meta;
-    meta.version = static_cast<int>(doc.at("version").asInt());
-    meta.model = doc.at("model").asString();
-    meta.batch = static_cast<int>(doc.at("batch").asInt());
-    meta.level = static_cast<int>(doc.at("level").asInt());
-    meta.backend = doc.at("backend").asString();
-    meta.deviceFp = doc.at("deviceFp").asString();
-    meta.programHash = doc.at("programHash").asString();
-    meta.name = doc.at("name").asString();
+    r.beginObject();
+    r.key("version");
+    meta.version = static_cast<int>(r.readInt());
+    r.key("model");
+    meta.model = r.readString();
+    r.key("batch");
+    meta.batch = static_cast<int>(r.readInt());
+    r.key("level");
+    meta.level = static_cast<int>(r.readInt());
+    r.key("backend");
+    meta.backend = r.readString();
+    r.key("deviceFp");
+    meta.deviceFp = r.readString();
+    r.key("programHash");
+    meta.programHash = r.readString();
+    r.key("name");
+    meta.name = r.readString();
+    r.endObject();
+    r.finish();
     return meta;
 }
 

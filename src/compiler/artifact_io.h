@@ -84,8 +84,9 @@ bool hasArtifact(const std::string &root, const ArtifactMeta &key);
 
 /**
  * Load the artifact for @p key from @p root. Throws FatalError when
- * the artifact is missing, its version or identity does not match, or
- * the stored program fails fingerprint verification.
+ * the artifact is missing, a file is malformed or truncated, its
+ * version or identity does not match, or the stored program fails
+ * fingerprint verification.
  */
 Compiled loadArtifact(const std::string &root, const ArtifactMeta &key);
 

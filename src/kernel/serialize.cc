@@ -1,5 +1,6 @@
 #include "kernel/serialize.h"
 
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -62,12 +63,13 @@ writeTeIds(JsonWriter &w, const std::vector<int> &ids)
 }
 
 std::vector<int>
-readTeIds(const JsonValue &v)
+readTeIds(JsonReader &r)
 {
     std::vector<int> ids;
-    ids.reserve(v.items().size());
-    for (const JsonValue &item : v.items())
-        ids.push_back(static_cast<int>(item.asInt()));
+    r.beginArray();
+    while (r.hasNext())
+        ids.push_back(static_cast<int>(r.readInt()));
+    r.endArray();
     return ids;
 }
 
@@ -85,15 +87,23 @@ writeInstr(JsonWriter &w, const Instr &instr)
 }
 
 Instr
-readInstr(const JsonValue &v)
+readInstr(JsonReader &r)
 {
     Instr instr;
-    instr.kind = parseInstrKind(v.at("kind").asString());
-    instr.pipe = parsePipe(v.at("pipe").asString());
-    instr.bytes = v.at("bytes").asNumber();
-    instr.flops = v.at("flops").asNumber();
-    instr.tensor = static_cast<TensorId>(v.at("tensor").asInt());
-    instr.overlapped = v.at("overlapped").asBool();
+    r.beginObject();
+    r.key("kind");
+    instr.kind = parseInstrKind(r.readString());
+    r.key("pipe");
+    instr.pipe = parsePipe(r.readString());
+    r.key("bytes");
+    instr.bytes = r.readDouble();
+    r.key("flops");
+    instr.flops = r.readDouble();
+    r.key("tensor");
+    instr.tensor = static_cast<TensorId>(r.readInt());
+    r.key("overlapped");
+    instr.overlapped = r.readBool();
+    r.endObject();
     return instr;
 }
 
@@ -118,20 +128,32 @@ writeStage(JsonWriter &w, const KernelStage &stage)
 }
 
 KernelStage
-readStage(const JsonValue &v)
+readStage(JsonReader &r)
 {
     KernelStage stage;
-    stage.name = v.at("name").asString();
-    stage.teIds = readTeIds(v.at("teIds"));
-    stage.numBlocks = v.at("numBlocks").asInt();
-    stage.threadsPerBlock =
-        static_cast<int>(v.at("threadsPerBlock").asInt());
-    stage.sharedMemBytes = v.at("sharedMemBytes").asInt();
-    stage.regsPerBlock = v.at("regsPerBlock").asInt();
-    stage.predicated = v.at("predicated").asBool();
-    stage.flexibleBlocks = v.at("flexibleBlocks").asBool();
-    for (const JsonValue &instr : v.at("instrs").items())
-        stage.instrs.push_back(readInstr(instr));
+    r.beginObject();
+    r.key("name");
+    stage.name = r.readString();
+    r.key("teIds");
+    stage.teIds = readTeIds(r);
+    r.key("numBlocks");
+    stage.numBlocks = r.readInt();
+    r.key("threadsPerBlock");
+    stage.threadsPerBlock = static_cast<int>(r.readInt());
+    r.key("sharedMemBytes");
+    stage.sharedMemBytes = r.readInt();
+    r.key("regsPerBlock");
+    stage.regsPerBlock = r.readInt();
+    r.key("predicated");
+    stage.predicated = r.readBool();
+    r.key("flexibleBlocks");
+    stage.flexibleBlocks = r.readBool();
+    r.key("instrs");
+    r.beginArray();
+    while (r.hasNext())
+        stage.instrs.push_back(readInstr(r));
+    r.endArray();
+    r.endObject();
     return stage;
 }
 
@@ -175,25 +197,52 @@ writeTaskGraph(JsonWriter &w, const TaskGraph &graph)
 }
 
 TaskGraph
-readTaskGraph(const JsonValue &v)
+readTaskGraph(JsonReader &r)
 {
     TaskGraph graph;
-    for (const JsonValue &t : v.at("tasks").items()) {
+    r.beginObject();
+    r.key("tasks");
+    r.beginArray();
+    while (r.hasNext()) {
         TaskDesc task;
-        task.name = t.at("name").asString();
-        task.stage = static_cast<int>(t.at("stage").asInt());
-        task.shards = static_cast<int>(t.at("shards").asInt());
-        task.blocks = t.at("blocks").asInt();
+        r.beginObject();
+        r.key("name");
+        task.name = r.readString();
+        r.key("stage");
+        task.stage = static_cast<int>(r.readInt());
+        r.key("shards");
+        task.shards = static_cast<int>(r.readInt());
+        r.key("blocks");
+        task.blocks = r.readInt();
+        r.endObject();
         graph.tasks.push_back(std::move(task));
     }
-    for (const JsonValue &e : v.at("edges").items()) {
+    r.endArray();
+    if (graph.empty())
+        r.fail("task graph has no tasks");
+    r.key("edges");
+    r.beginArray();
+    while (r.hasNext()) {
         TaskEdge edge;
-        edge.from = static_cast<int>(e.at("from").asInt());
-        edge.to = static_cast<int>(e.at("to").asInt());
-        edge.tensor = static_cast<TensorId>(e.at("tensor").asInt());
-        edge.kind = parseTaskEdgeKind(e.at("kind").asString());
+        r.beginObject();
+        r.key("from");
+        const int64_t from = r.readInt();
+        r.key("to");
+        const int64_t to = r.readInt();
+        if (from < 0 || from >= graph.numTasks() || to < 0
+            || to >= graph.numTasks())
+            r.fail("task edge endpoint out of range");
+        edge.from = static_cast<int>(from);
+        edge.to = static_cast<int>(to);
+        r.key("tensor");
+        edge.tensor = static_cast<TensorId>(r.readInt());
+        r.key("kind");
+        edge.kind = parseTaskEdgeKind(r.readString());
+        r.endObject();
         graph.edges.push_back(edge);
     }
+    r.endArray();
+    r.endObject();
     return graph;
 }
 
@@ -230,28 +279,46 @@ serializeCompiledModule(const CompiledModule &module)
 }
 
 CompiledModule
-deserializeCompiledModule(const std::string &text)
+deserializeCompiledModule(std::string_view text)
 {
-    const JsonValue doc = parseJson(text);
-    const int64_t version = doc.at("version").asInt();
+    JsonReader r(text);
+    r.beginObject();
+    r.key("version");
+    const int64_t version = r.readInt();
     SOUFFLE_REQUIRE(version == 1 || version == 2,
                     "unsupported module format version: " << version);
 
     CompiledModule module;
-    module.compilerName = doc.at("compiler").asString();
-    for (const JsonValue &k : doc.at("kernels").items()) {
+    r.key("compiler");
+    module.compilerName = r.readString();
+    r.key("kernels");
+    r.beginArray();
+    while (r.hasNext()) {
         Kernel kernel;
-        kernel.name = k.at("name").asString();
-        kernel.usesLibrary = k.at("usesLibrary").asBool();
-        kernel.libraryTimeFactor =
-            k.at("libraryTimeFactor").asNumber();
-        for (const JsonValue &stage : k.at("stages").items())
-            kernel.stages.push_back(readStage(stage));
+        r.beginObject();
+        r.key("name");
+        kernel.name = r.readString();
+        r.key("usesLibrary");
+        kernel.usesLibrary = r.readBool();
+        r.key("libraryTimeFactor");
+        kernel.libraryTimeFactor = r.readDouble();
+        r.key("stages");
+        r.beginArray();
+        while (r.hasNext())
+            kernel.stages.push_back(readStage(r));
+        r.endArray();
+        r.endObject();
         module.kernels.push_back(std::move(kernel));
     }
-    if (const JsonValue *graph =
-            version >= 2 ? doc.find("taskGraph") : nullptr)
-        module.taskGraph = readTaskGraph(*graph);
+    r.endArray();
+    // The version and the task graph must agree: version 2 is written
+    // exactly when a task graph is, so neither can be dropped alone.
+    if (version == 2) {
+        r.key("taskGraph");
+        module.taskGraph = readTaskGraph(r);
+    }
+    r.endObject();
+    r.finish();
     return module;
 }
 
@@ -280,24 +347,38 @@ serializeModulePlan(const ModulePlan &plan)
 }
 
 ModulePlan
-deserializeModulePlan(const std::string &text)
+deserializeModulePlan(std::string_view text)
 {
-    const JsonValue doc = parseJson(text);
-    const int64_t version = doc.at("version").asInt();
+    JsonReader r(text);
+    r.beginObject();
+    r.key("version");
+    const int64_t version = r.readInt();
     SOUFFLE_REQUIRE(version == 1,
                     "unsupported plan format version: " << version);
 
     ModulePlan plan;
-    for (const JsonValue &k : doc.at("kernels").items()) {
+    r.key("kernels");
+    r.beginArray();
+    while (r.hasNext()) {
         KernelPlan kernel;
-        kernel.name = k.at("name").asString();
-        kernel.library = k.at("library").asBool();
-        kernel.libraryTimeFactor =
-            k.at("libraryTimeFactor").asNumber();
-        for (const JsonValue &stage : k.at("stages").items())
-            kernel.stages.push_back(StagePlan{readTeIds(stage)});
+        r.beginObject();
+        r.key("name");
+        kernel.name = r.readString();
+        r.key("library");
+        kernel.library = r.readBool();
+        r.key("libraryTimeFactor");
+        kernel.libraryTimeFactor = r.readDouble();
+        r.key("stages");
+        r.beginArray();
+        while (r.hasNext())
+            kernel.stages.push_back(StagePlan{readTeIds(r)});
+        r.endArray();
+        r.endObject();
         plan.kernels.push_back(std::move(kernel));
     }
+    r.endArray();
+    r.endObject();
+    r.finish();
     return plan;
 }
 

@@ -29,13 +29,13 @@ Schedule::toString() const
     return os.str();
 }
 
-std::string
-serializeSchedule(const Schedule &sched)
+namespace {
+
+/** The fields of a schedule payload, in format order. */
+void
+writeScheduleFields(JsonWriter &w, const Schedule &sched)
 {
-    JsonWriter writer(JsonWriter::Style::kCompact);
-    writer.setDoublePrecision(17);
-    writer.beginObject()
-        .field("tileM", sched.tileM)
+    w.field("tileM", sched.tileM)
         .field("tileN", sched.tileN)
         .field("tileK", sched.tileK)
         .field("threadsPerBlock", sched.threadsPerBlock)
@@ -45,28 +45,59 @@ serializeSchedule(const Schedule &sched)
         .field("useTensorCore", sched.useTensorCore)
         .field("gridStride", sched.gridStride)
         .field("estTimeUs", sched.estTimeUs)
-        .field("estGlobalBytes", sched.estGlobalBytes)
-        .endObject();
+        .field("estGlobalBytes", sched.estGlobalBytes);
+}
+
+/** Read the fields `writeScheduleFields` writes, in its order. */
+void
+readScheduleFields(JsonReader &r, Schedule &sched)
+{
+    r.key("tileM");
+    sched.tileM = r.readInt();
+    r.key("tileN");
+    sched.tileN = r.readInt();
+    r.key("tileK");
+    sched.tileK = r.readInt();
+    r.key("threadsPerBlock");
+    sched.threadsPerBlock = static_cast<int>(r.readInt());
+    r.key("numBlocks");
+    sched.numBlocks = r.readInt();
+    r.key("sharedMemBytes");
+    sched.sharedMemBytes = r.readInt();
+    r.key("regsPerThread");
+    sched.regsPerThread = r.readInt();
+    r.key("useTensorCore");
+    sched.useTensorCore = r.readBool();
+    r.key("gridStride");
+    sched.gridStride = r.readBool();
+    r.key("estTimeUs");
+    sched.estTimeUs = r.readDouble();
+    r.key("estGlobalBytes");
+    sched.estGlobalBytes = r.readDouble();
+}
+
+} // namespace
+
+std::string
+serializeSchedule(const Schedule &sched)
+{
+    JsonWriter writer(JsonWriter::Style::kCompact);
+    writer.setDoublePrecision(17);
+    writer.beginObject();
+    writeScheduleFields(writer, sched);
+    writer.endObject();
     return writer.str();
 }
 
 Schedule
-deserializeSchedule(const std::string &payload)
+deserializeSchedule(std::string_view payload)
 {
-    JsonValue doc = parseJson(payload);
+    JsonReader r(payload);
     Schedule sched;
-    sched.tileM = doc.at("tileM").asInt();
-    sched.tileN = doc.at("tileN").asInt();
-    sched.tileK = doc.at("tileK").asInt();
-    sched.threadsPerBlock =
-        static_cast<int>(doc.at("threadsPerBlock").asInt());
-    sched.numBlocks = doc.at("numBlocks").asInt();
-    sched.sharedMemBytes = doc.at("sharedMemBytes").asInt();
-    sched.regsPerThread = doc.at("regsPerThread").asInt();
-    sched.useTensorCore = doc.at("useTensorCore").asBool();
-    sched.gridStride = doc.at("gridStride").asBool();
-    sched.estTimeUs = doc.at("estTimeUs").asNumber();
-    sched.estGlobalBytes = doc.at("estGlobalBytes").asNumber();
+    r.beginObject();
+    readScheduleFields(r, sched);
+    r.endObject();
+    r.finish();
     return sched;
 }
 
@@ -81,17 +112,7 @@ serializeSchedules(const std::vector<Schedule> &schedules)
     for (const Schedule &sched : schedules) {
         w.newline().beginObject();
         w.field("teId", sched.teId);
-        w.field("tileM", sched.tileM)
-            .field("tileN", sched.tileN)
-            .field("tileK", sched.tileK)
-            .field("threadsPerBlock", sched.threadsPerBlock)
-            .field("numBlocks", sched.numBlocks)
-            .field("sharedMemBytes", sched.sharedMemBytes)
-            .field("regsPerThread", sched.regsPerThread)
-            .field("useTensorCore", sched.useTensorCore)
-            .field("gridStride", sched.gridStride)
-            .field("estTimeUs", sched.estTimeUs)
-            .field("estGlobalBytes", sched.estGlobalBytes);
+        writeScheduleFields(w, sched);
         w.endObject();
     }
     w.endArray();
@@ -100,31 +121,30 @@ serializeSchedules(const std::vector<Schedule> &schedules)
 }
 
 std::vector<Schedule>
-deserializeSchedules(const std::string &text)
+deserializeSchedules(std::string_view text)
 {
-    const JsonValue doc = parseJson(text);
-    const int64_t version = doc.at("version").asInt();
+    JsonReader r(text);
+    r.beginObject();
+    r.key("version");
+    const int64_t version = r.readInt();
     SOUFFLE_REQUIRE(version == 1,
                     "unsupported schedule format version: "
                         << version);
     std::vector<Schedule> schedules;
-    for (const JsonValue &s : doc.at("schedules").items()) {
+    r.key("schedules");
+    r.beginArray();
+    while (r.hasNext()) {
         Schedule sched;
-        sched.teId = static_cast<int>(s.at("teId").asInt());
-        sched.tileM = s.at("tileM").asInt();
-        sched.tileN = s.at("tileN").asInt();
-        sched.tileK = s.at("tileK").asInt();
-        sched.threadsPerBlock =
-            static_cast<int>(s.at("threadsPerBlock").asInt());
-        sched.numBlocks = s.at("numBlocks").asInt();
-        sched.sharedMemBytes = s.at("sharedMemBytes").asInt();
-        sched.regsPerThread = s.at("regsPerThread").asInt();
-        sched.useTensorCore = s.at("useTensorCore").asBool();
-        sched.gridStride = s.at("gridStride").asBool();
-        sched.estTimeUs = s.at("estTimeUs").asNumber();
-        sched.estGlobalBytes = s.at("estGlobalBytes").asNumber();
+        r.beginObject();
+        r.key("teId");
+        sched.teId = static_cast<int>(r.readInt());
+        readScheduleFields(r, sched);
+        r.endObject();
         schedules.push_back(sched);
     }
+    r.endArray();
+    r.endObject();
+    r.finish();
     return schedules;
 }
 

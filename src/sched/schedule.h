@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,7 +70,7 @@ struct Schedule
 std::string serializeSchedule(const Schedule &sched);
 
 /** Inverse of `serializeSchedule`; throws FatalError on bad input. */
-Schedule deserializeSchedule(const std::string &payload);
+Schedule deserializeSchedule(std::string_view payload);
 
 /**
  * Whole-program schedule array for the compiled-artifact format
@@ -81,7 +82,7 @@ Schedule deserializeSchedule(const std::string &payload);
 std::string serializeSchedules(const std::vector<Schedule> &schedules);
 
 /** Inverse of `serializeSchedules`; throws FatalError on bad input. */
-std::vector<Schedule> deserializeSchedules(const std::string &text);
+std::vector<Schedule> deserializeSchedules(std::string_view text);
 
 /** Schedule-search strategy. */
 enum class SchedulerMode : uint8_t

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -213,85 +214,253 @@ writeExpr(JsonWriter &w, const ExprPtr &e)
 
 // ----- readers -------------------------------------------------------
 
-std::vector<int64_t>
-readIntArray(const JsonValue &v)
+/**
+ * One-pass reader: walks the document in the writer's key order and
+ * builds the program directly. Besides the JSON shape it checks what
+ * the IR constructors and `TeProgram::validate` would otherwise trip
+ * over with an abort (ragged maps, read slots and ranks, consumers
+ * ordered before producers), so malformed input is a FatalError.
+ */
+class ProgramReader
 {
-    std::vector<int64_t> out;
-    out.reserve(v.items().size());
-    for (const JsonValue &item : v.items())
-        out.push_back(item.asInt());
-    return out;
-}
+  public:
+    explicit ProgramReader(std::string_view text) : r(text) {}
 
-AffineMap
-readMap(const JsonValue &v)
-{
-    const int in_dims = static_cast<int>(v.at("in").asInt());
-    std::vector<std::vector<int64_t>> rows;
-    for (const JsonValue &row : v.at("rows").items())
-        rows.push_back(readIntArray(row));
-    std::vector<int64_t> off = readIntArray(v.at("off"));
-    if (rows.empty())
-        return AffineMap::zero(0, in_dims);
-    AffineMap map(std::move(rows), std::move(off));
-    SOUFFLE_REQUIRE(map.inDims() == in_dims,
-                  "affine map inDims mismatch: " << map.inDims()
-                                                 << " vs " << in_dims);
-    return map;
-}
+    TeProgram
+    read()
+    {
+        r.beginObject();
+        r.key("version");
+        const int64_t version = r.readInt();
+        SOUFFLE_REQUIRE(version == 1,
+                        "unsupported TE-program format version: "
+                            << version);
 
-Predicate
-readPredicate(const JsonValue &v)
-{
-    Predicate pred;
-    for (const JsonValue &item : v.items()) {
-        AffineCond cond;
-        cond.coefs = readIntArray(item.at("coefs"));
-        cond.offset = item.at("off").asInt();
-        cond.op = parseCmpOp(item.at("op").asString());
-        pred.push_back(std::move(cond));
-    }
-    return pred;
-}
-
-ExprPtr
-readExpr(const JsonValue &v)
-{
-    const std::string &kind = v.at("k").asString();
-    if (kind == "const") {
-        if (const JsonValue *special = v.find("vs")) {
-            const std::string &name = special->asString();
-            if (name == "inf")
-                return Expr::constant(
-                    std::numeric_limits<double>::infinity());
-            if (name == "-inf")
-                return Expr::constant(
-                    -std::numeric_limits<double>::infinity());
-            if (name == "nan")
-                return Expr::constant(
-                    std::numeric_limits<double>::quiet_NaN());
-            SOUFFLE_FATAL("unknown special constant: " << name);
+        r.key("tensors");
+        r.beginArray();
+        while (r.hasNext()) {
+            r.beginObject();
+            r.key("name");
+            std::string name = r.readString();
+            r.key("shape");
+            std::vector<int64_t> shape = readIntArray();
+            r.key("dtype");
+            const DType dtype = parseDtype(r.readString());
+            r.key("role");
+            const TensorRole role = parseRole(r.readString());
+            r.endObject();
+            program.addTensor(name, std::move(shape), dtype, role);
         }
-        return Expr::constant(v.at("v").asNumber());
+        r.endArray();
+
+        r.key("tes");
+        r.beginArray();
+        std::vector<char> consumed(program.numTensors(), 0);
+        while (r.hasNext()) {
+            r.beginObject();
+            r.key("name");
+            std::string name = r.readString();
+            r.key("inputs");
+            std::vector<TensorId> inputs;
+            r.beginArray();
+            while (r.hasNext()) {
+                const TensorId input = readTensorId();
+                consumed[input] = 1;
+                inputs.push_back(input);
+            }
+            r.endArray();
+            r.key("output");
+            const TensorId output = readTensorId();
+            if (consumed[output])
+                r.fail("TE '" + name
+                       + "' produces a tensor an earlier TE reads");
+            r.key("reduce");
+            std::vector<int64_t> reduce = readIntArray();
+            r.key("combiner");
+            const Combiner combiner = parseCombiner(r.readString());
+
+            bodyInputs = &inputs;
+            iterRank = static_cast<int>(
+                program.tensor(output).shape.size() + reduce.size());
+            r.key("body");
+            ExprPtr body = readExpr();
+            r.endObject();
+            program.addTe(name, std::move(inputs), output,
+                          std::move(reduce), combiner, std::move(body));
+        }
+        r.endArray();
+        r.endObject();
+        r.finish();
+        program.validate();
+        return std::move(program);
     }
-    if (kind == "read") {
-        const int slot = static_cast<int>(v.at("slot").asInt());
-        AffineMap map = readMap(v.at("map"));
-        if (v.at("flat").asBool())
-            return Expr::readFlat(slot, std::move(map));
-        return Expr::read(slot, std::move(map));
+
+  private:
+    std::vector<int64_t>
+    readIntArray()
+    {
+        std::vector<int64_t> out;
+        r.beginArray();
+        while (r.hasNext())
+            out.push_back(r.readInt());
+        r.endArray();
+        return out;
     }
-    if (kind == "unary")
-        return Expr::unary(parseUnaryOp(v.at("op").asString()),
-                           readExpr(v.at("a")));
-    if (kind == "binary")
-        return Expr::binary(parseBinaryOp(v.at("op").asString()),
-                            readExpr(v.at("a")), readExpr(v.at("b")));
-    if (kind == "select")
-        return Expr::select(readPredicate(v.at("pred")),
-                            readExpr(v.at("a")), readExpr(v.at("b")));
-    SOUFFLE_FATAL("unknown expression kind: " << kind);
-}
+
+    TensorId
+    readTensorId()
+    {
+        const int64_t id = r.readInt();
+        if (id < 0 || id >= program.numTensors())
+            r.fail("tensor id " + std::to_string(id) + " out of range");
+        return static_cast<TensorId>(id);
+    }
+
+    AffineMap
+    readMap()
+    {
+        r.beginObject();
+        r.key("rows");
+        std::vector<std::vector<int64_t>> rows;
+        r.beginArray();
+        while (r.hasNext())
+            rows.push_back(readIntArray());
+        r.endArray();
+        r.key("off");
+        std::vector<int64_t> off = readIntArray();
+        r.key("in");
+        const int64_t in_dims = r.readInt();
+        if (in_dims < 0 || in_dims > kMaxMapDims)
+            r.fail("affine map in-dims out of range");
+        for (const std::vector<int64_t> &row : rows)
+            if (static_cast<int64_t>(row.size()) != in_dims)
+                r.fail("affine map row has " + std::to_string(row.size())
+                       + " coefficients, want " + std::to_string(in_dims));
+        if (off.size() != rows.size())
+            r.fail("affine map has " + std::to_string(off.size())
+                   + " offsets for " + std::to_string(rows.size())
+                   + " rows");
+        r.endObject();
+        if (rows.empty())
+            return AffineMap::zero(0, static_cast<int>(in_dims));
+        return AffineMap(std::move(rows), std::move(off));
+    }
+
+    Predicate
+    readPredicate()
+    {
+        Predicate pred;
+        r.beginArray();
+        while (r.hasNext()) {
+            AffineCond cond;
+            r.beginObject();
+            r.key("coefs");
+            cond.coefs = readIntArray();
+            r.key("off");
+            cond.offset = r.readInt();
+            r.key("op");
+            cond.op = parseCmpOp(r.readString());
+            r.endObject();
+            pred.push_back(std::move(cond));
+        }
+        r.endArray();
+        return pred;
+    }
+
+    ExprPtr
+    readRead()
+    {
+        r.key("slot");
+        const int64_t slot = r.readInt();
+        if (slot < 0 || slot >= static_cast<int64_t>(bodyInputs->size()))
+            r.fail("read slot " + std::to_string(slot) + " out of range");
+        r.key("flat");
+        const bool flat = r.readBool();
+        r.key("map");
+        AffineMap map = readMap();
+        if (map.inDims() != iterRank)
+            r.fail("read map in-dims " + std::to_string(map.inDims())
+                   + " differ from the iteration rank "
+                   + std::to_string(iterRank));
+        const int want_out =
+            flat ? 1
+                 : program.tensor((*bodyInputs)[slot]).rank();
+        if (map.outDims() != want_out)
+            r.fail("read map has " + std::to_string(map.outDims())
+                   + " rows, want " + std::to_string(want_out));
+        if (flat)
+            return Expr::readFlat(static_cast<int>(slot), std::move(map));
+        return Expr::read(static_cast<int>(slot), std::move(map));
+    }
+
+    ExprPtr
+    readConst()
+    {
+        // Finite constants are numbers under "v"; inf/-inf/nan are
+        // spelled out under "vs".
+        const std::string name = r.nextKey();
+        if (name == "v")
+            return Expr::constant(r.readDouble());
+        if (name != "vs")
+            r.fail("expected member 'v' or 'vs', found '" + name + "'");
+        const std::string special = r.readString();
+        if (special == "inf")
+            return Expr::constant(std::numeric_limits<double>::infinity());
+        if (special == "-inf")
+            return Expr::constant(
+                -std::numeric_limits<double>::infinity());
+        if (special == "nan")
+            return Expr::constant(std::numeric_limits<double>::quiet_NaN());
+        SOUFFLE_FATAL("unknown special constant: " << special);
+    }
+
+    ExprPtr
+    readExpr()
+    {
+        r.beginObject();
+        r.key("k");
+        const std::string kind = r.readString();
+        ExprPtr e;
+        if (kind == "const") {
+            e = readConst();
+        } else if (kind == "read") {
+            e = readRead();
+        } else if (kind == "unary") {
+            r.key("op");
+            const UnaryOp op = parseUnaryOp(r.readString());
+            r.key("a");
+            e = Expr::unary(op, readExpr());
+        } else if (kind == "binary") {
+            r.key("op");
+            const BinaryOp op = parseBinaryOp(r.readString());
+            r.key("a");
+            ExprPtr a = readExpr();
+            r.key("b");
+            e = Expr::binary(op, std::move(a), readExpr());
+        } else if (kind == "select") {
+            r.key("pred");
+            Predicate pred = readPredicate();
+            r.key("a");
+            ExprPtr a = readExpr();
+            r.key("b");
+            e = Expr::select(std::move(pred), std::move(a), readExpr());
+        } else {
+            SOUFFLE_FATAL("unknown expression kind: " << kind);
+        }
+        r.endObject();
+        return e;
+    }
+
+    /** Generous bound on map ranks; keeps a corrupt count from
+     *  sizing a huge allocation. */
+    static constexpr int64_t kMaxMapDims = 1 << 16;
+
+    JsonReader r;
+    TeProgram program;
+    /** Inputs and iteration rank of the TE whose body is read. */
+    const std::vector<TensorId> *bodyInputs = nullptr;
+    int iterRank = 0;
+};
 
 } // namespace
 
@@ -337,32 +506,9 @@ serializeTeProgram(const TeProgram &program)
 }
 
 TeProgram
-deserializeTeProgram(const std::string &text)
+deserializeTeProgram(std::string_view text)
 {
-    const JsonValue doc = parseJson(text);
-    const int64_t version = doc.at("version").asInt();
-    SOUFFLE_REQUIRE(version == 1,
-                  "unsupported TE-program format version: " << version);
-
-    TeProgram program;
-    for (const JsonValue &t : doc.at("tensors").items()) {
-        program.addTensor(t.at("name").asString(),
-                          readIntArray(t.at("shape")),
-                          parseDtype(t.at("dtype").asString()),
-                          parseRole(t.at("role").asString()));
-    }
-    for (const JsonValue &te : doc.at("tes").items()) {
-        std::vector<TensorId> inputs;
-        for (const JsonValue &input : te.at("inputs").items())
-            inputs.push_back(static_cast<TensorId>(input.asInt()));
-        program.addTe(te.at("name").asString(), std::move(inputs),
-                      static_cast<TensorId>(te.at("output").asInt()),
-                      readIntArray(te.at("reduce")),
-                      parseCombiner(te.at("combiner").asString()),
-                      readExpr(te.at("body")));
-    }
-    program.validate();
-    return program;
+    return ProgramReader(text).read();
 }
 
 } // namespace souffle

@@ -18,6 +18,7 @@
  */
 
 #include <string>
+#include <string_view>
 
 #include "te/program.h"
 
@@ -27,7 +28,8 @@ namespace souffle {
 std::string serializeTeProgram(const TeProgram &program);
 
 /** Inverse of `serializeTeProgram`; throws FatalError on malformed
- *  or structurally invalid input. */
-TeProgram deserializeTeProgram(const std::string &text);
+ *  or structurally invalid input. The reader expects members in the
+ *  order the writer emits them. */
+TeProgram deserializeTeProgram(std::string_view text);
 
 } // namespace souffle

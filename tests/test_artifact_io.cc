@@ -3,20 +3,25 @@
  * Tests for compiled-artifact serialization: TE-program, schedule,
  * plan and module JSON round-trips (bit-identity pinned), the
  * directory-level save/load of whole compiles
- * (compiler/artifact_io.h), integrity rejection of corrupted or
- * version-skewed artifacts, and the offline-compile → online-serve
- * paths through serve::ModuleCache and cluster::FleetCompileService
- * (zero candidate evaluations by construction).
+ * (compiler/artifact_io.h), rejection of corrupted, truncated or
+ * version-skewed artifacts (FatalError, never an abort), and the
+ * offline-compile → online-serve paths through serve::ModuleCache and
+ * cluster::FleetCompileService (zero candidate evaluations by
+ * construction).
  */
 
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/compile_service.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "compiler/artifact_io.h"
 #include "compiler/souffle.h"
@@ -168,6 +173,29 @@ TEST(TeSerialize, RejectsMalformedInput)
             R"({"version":1,"tensors":[{"name":"x","shape":[2],)"
             R"("dtype":"fp64","role":"input"}],"tes":[]})"),
         FatalError);
+
+    // A one-TE program reading x through @p map: the well-formed map
+    // loads, ragged rows and an offset count that differs from the
+    // row count are rejected instead of aborting in AffineMap.
+    const auto withMap = [](const std::string &map) {
+        return R"({"version":1,"tensors":[)"
+               R"({"name":"x","shape":[2],"dtype":"fp32","role":"input"},)"
+               R"({"name":"y","shape":[2],"dtype":"fp32","role":"output"}],)"
+               R"("tes":[{"name":"f","inputs":[0],"output":1,"reduce":[],)"
+               R"("combiner":"none","body":{"k":"read","slot":0,)"
+               R"("flat":false,"map":)"
+               + map + "}}]}";
+    };
+    EXPECT_EQ(deserializeTeProgram(
+                  withMap(R"({"rows":[[1]],"off":[0],"in":1})"))
+                  .numTes(),
+              1);
+    EXPECT_THROW(deserializeTeProgram(withMap(
+                     R"({"rows":[[1],[1,0]],"off":[0,0],"in":1})")),
+                 FatalError);
+    EXPECT_THROW(deserializeTeProgram(
+                     withMap(R"({"rows":[[1]],"off":[0,0],"in":1})")),
+                 FatalError);
 }
 
 // ---------------------------------------------------------------------
@@ -303,6 +331,135 @@ TEST(ArtifactIo, RejectsMissingVersionSkewAndCorruption)
     writeFile(dir + "/program.json",
               serializeTeProgram(
                   lowerToTe(buildTinyModel("MMoE")).program));
+    EXPECT_THROW(loadArtifact(root, key), FatalError);
+    removeArtifact(root, key);
+}
+
+/** Compile tiny @p model at V5 and save it under @p root. */
+ArtifactMeta
+saveTinyV5(const std::string &root, const std::string &model)
+{
+    SouffleOptions options;
+    options.level = SouffleLevel::kV5;
+    const Compiled compiled =
+        compileSouffle(buildTinyModel(model), options);
+    EXPECT_TRUE(compiled.module.megakernel()) << model;
+    const ArtifactMeta key = artifactKeyFor("tiny-" + model, 1, options);
+    removeArtifact(root, key);
+    saveArtifact(root, key, compiled);
+    return key;
+}
+
+TEST(ArtifactIo, ModuleVersionAndTaskGraphMustAgree)
+{
+    const std::string root = "/tmp/souffle_artifact_io_taskgraph";
+    const ArtifactMeta key = saveTinyV5(root, "MMoE");
+    const std::string path = root + "/" + key.subdir() + "/module.json";
+    const std::string module = readFile(path);
+    loadArtifact(root, key);
+
+    // Version 2 without its task graph would load as a plain module.
+    const size_t graph = module.find("\"taskGraph\"");
+    ASSERT_NE(graph, std::string::npos);
+    const size_t cut = module.rfind(',', graph);
+    std::string stripped = module;
+    stripped.erase(cut, module.rfind('}') - cut);
+    EXPECT_NO_THROW(parseJson(stripped));
+    writeFile(path, stripped);
+    EXPECT_THROW(loadArtifact(root, key), FatalError);
+
+    // Version 1 carrying a task graph is just as inconsistent.
+    std::string downgraded = module;
+    const size_t version = downgraded.find("\"version\":2");
+    ASSERT_NE(version, std::string::npos);
+    downgraded.replace(version, 11, "\"version\":1");
+    EXPECT_THROW(deserializeCompiledModule(downgraded), FatalError);
+    removeArtifact(root, key);
+}
+
+/**
+ * Deserialize every prefix of @p text that ends just before or just
+ * after a structural character, each copied into an exact-size buffer
+ * so a read past the cut is an out-of-bounds access (caught under
+ * ASan). Returns the cut lengths that did not throw FatalError. The
+ * quadratic sweep is spread over a few threads.
+ */
+template <typename Deserialize>
+std::vector<size_t>
+prefixesNotRejected(const std::string &text, Deserialize deserialize,
+                    size_t &cuts)
+{
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len < text.size(); ++len) {
+        const auto structural = [&](size_t i) {
+            return std::string_view("{}[],:\"").find(text[i])
+                   != std::string_view::npos;
+        };
+        if (structural(len) || (len > 0 && structural(len - 1)))
+            lengths.push_back(len);
+    }
+    cuts = lengths.size();
+
+    constexpr int kWorkers = 4;
+    std::vector<std::vector<size_t>> accepted(kWorkers);
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&, w] {
+            for (size_t k = w; k < lengths.size(); k += kWorkers) {
+                const std::vector<char> prefix(
+                    text.begin(), text.begin() + lengths[k]);
+                try {
+                    deserialize(std::string_view(prefix.data(),
+                                                 prefix.size()));
+                    accepted[w].push_back(lengths[k]);
+                } catch (const FatalError &) {
+                } catch (...) {
+                    accepted[w].push_back(lengths[k]);
+                }
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    std::vector<size_t> all;
+    for (const std::vector<size_t> &part : accepted)
+        all.insert(all.end(), part.begin(), part.end());
+    return all;
+}
+
+TEST(ArtifactTruncation, EveryStructuralCutThrows)
+{
+    // Cut program.json and module.json of a V5 artifact just before
+    // and just after every structural character: each prefix must be
+    // rejected with FatalError, never crash, hang or abort.
+    const std::string root = "/tmp/souffle_artifact_truncation";
+    const ArtifactMeta key = saveTinyV5(root, "BERT");
+    const std::string dir = root + "/" + key.subdir();
+    const std::string program = readFile(dir + "/program.json");
+    const std::string module = readFile(dir + "/module.json");
+
+    size_t cuts = 0;
+    EXPECT_EQ(prefixesNotRejected(
+                  program,
+                  [](std::string_view t) { deserializeTeProgram(t); },
+                  cuts),
+              std::vector<size_t>{});
+    EXPECT_GT(cuts, 1000u);
+    EXPECT_EQ(prefixesNotRejected(
+                  module,
+                  [](std::string_view t) {
+                      deserializeCompiledModule(t);
+                  },
+                  cuts),
+              std::vector<size_t>{});
+    EXPECT_GT(cuts, 1000u);
+
+    // The same through the store: a truncated file fails the load.
+    writeFile(dir + "/module.json", module.substr(0, module.size() / 2));
+    EXPECT_THROW(loadArtifact(root, key), FatalError);
+    writeFile(dir + "/module.json", module);
+    writeFile(dir + "/program.json",
+              program.substr(0, program.size() / 2));
     EXPECT_THROW(loadArtifact(root, key), FatalError);
     removeArtifact(root, key);
 }
