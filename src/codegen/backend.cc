@@ -44,13 +44,6 @@ class CudaBackend : public CodeGenBackend
     {
         return emitCudaModule(compiled);
     }
-
-    std::string
-    emitKernel(const TeProgram &program,
-               const Kernel &kernel) const override
-    {
-        return emitCudaKernel(program, kernel);
-    }
 };
 
 class CBackend : public CodeGenBackend
@@ -64,20 +57,15 @@ class CBackend : public CodeGenBackend
     Fingerprint
     fingerprint() const override
     {
-        return backendFingerprint(name(), 1, false, true);
+        // Version 2: TE range functions behind the host parallel_for
+        // hook (version 1 carried OpenMP pragmas).
+        return backendFingerprint(name(), 2, false, true);
     }
 
     std::string
     emitModule(const Compiled &compiled) const override
     {
         return emitCModule(compiled);
-    }
-
-    std::string
-    emitKernel(const TeProgram &program,
-               const Kernel &kernel) const override
-    {
-        return emitCKernel(program, kernel);
     }
 };
 

@@ -64,10 +64,6 @@ class CodeGenBackend
 
     /** Emit a whole translation unit for @p compiled. */
     virtual std::string emitModule(const Compiled &compiled) const = 0;
-
-    /** Emit one kernel function. */
-    virtual std::string emitKernel(const TeProgram &program,
-                                   const Kernel &kernel) const = 0;
 };
 
 /** Process-wide registry of code-generation backends. */

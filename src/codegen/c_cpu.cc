@@ -14,10 +14,12 @@ namespace {
 constexpr CodegenDialect kDialect = CodegenDialect::kC;
 
 /**
- * Fork an OpenMP team only when the element loop has enough work to
- * amortize it. Deterministic in the IR, so emitted text is stable.
+ * A TE's element loop goes through the host parallel_for hook only
+ * when its work (output elements x reduction extent) amortizes the
+ * dispatch; smaller TEs are called inline over their whole range.
+ * Deterministic in the IR, so emitted text is stable.
  */
-constexpr int64_t kOmpMinElements = 4096;
+constexpr int64_t kParallelMinWork = 65536;
 
 std::string
 sanitizeIdentifier(const std::string &name)
@@ -30,55 +32,57 @@ sanitizeIdentifier(const std::string &name)
     return "k_" + id;
 }
 
-/**
- * Parameter set of one kernel: every tensor its TE loops reference
- * (the loops are what the C compiler actually sees) unioned with
- * every tensor its abstract instructions touch, in deterministic
- * first-seen order. `written` holds the tensors the function stores
- * to; the rest are emitted const.
- */
-void
-collectParams(const TeProgram &program, const Kernel &kernel,
-              std::vector<TensorId> &params,
-              std::unordered_set<TensorId> &written)
+std::string
+teFunctionName(int te_id)
 {
-    std::unordered_set<TensorId> seen;
-    auto note = [&](TensorId tensor) {
-        if (tensor >= 0 && seen.insert(tensor).second)
-            params.push_back(tensor);
-    };
-    for (const auto &stage : kernel.stages) {
-        for (int te_id : stage.teIds) {
-            const TensorExpr &te = program.te(te_id);
-            note(te.output);
-            written.insert(te.output);
-            for (TensorId in : te.inputs)
-                note(in);
-        }
-        for (const auto &instr : stage.instrs) {
-            note(instr.tensor);
-            if (instr.kind == InstrKind::kStoreGlobal
-                || instr.kind == InstrKind::kCompute
-                || instr.kind == InstrKind::kAtomicAdd)
-                written.insert(instr.tensor);
-        }
-    }
+    return "te_" + std::to_string(te_id);
 }
 
-/** Emit the sequential element loop for one TE. */
+/**
+ * Emit one TE as a range function: `restrict` aliases for the tensors
+ * it touches (the output first and writable, inputs const), then the
+ * element loop over [lo, hi).
+ */
 void
-emitTeLoop(std::ostringstream &os, const TeProgram &program,
-           const TensorExpr &te, const std::string &indent)
+emitTeFunction(std::ostringstream &os, const TeProgram &program,
+               int te_id)
 {
-    const int64_t out_elems = te.outDomainSize();
-    os << indent << teBannerComment(program, te) << "\n";
-    if (out_elems >= kOmpMinElements)
-        os << indent << "#pragma omp parallel for schedule(static)\n";
-    os << indent << "for (long i = 0; i < " << out_elems
-       << "L; ++i) {\n";
-    emitTeElementBody(os, program, te, kDialect, indent + "    ",
+    const TensorExpr &te = program.te(te_id);
+    os << teBannerComment(program, te) << "\n"
+       << "static void\n"
+       << teFunctionName(te_id)
+       << "(double *const *tensors, long lo, long hi)\n{\n";
+    std::unordered_set<TensorId> seen;
+    auto alias = [&](TensorId id, bool written) {
+        if (!seen.insert(id).second)
+            return;
+        const TensorDecl &decl = program.tensor(id);
+        os << (written ? "    double" : "    const double")
+           << " *restrict t" << id << " = tensors[" << id << "]; /* "
+           << decl.name << " " << shapeToString(decl.shape) << " "
+           << dtypeName(decl.dtype) << " */\n";
+    };
+    alias(te.output, true);
+    for (TensorId in : te.inputs)
+        alias(in, false);
+    os << "    for (long i = lo; i < hi; ++i) {\n";
+    emitTeElementBody(os, program, te, kDialect, "        ",
                       /*atomic=*/false);
-    os << indent << "}\n";
+    os << "    }\n}\n\n";
+}
+
+/** Emit the call of one TE over its whole output domain. */
+void
+emitTeCall(std::ostringstream &os, const TeProgram &program, int te_id)
+{
+    const TensorExpr &te = program.te(te_id);
+    const std::string extent = std::to_string(te.outDomainSize()) + "L";
+    if (te.iterDomainSize() >= kParallelMinWork)
+        os << "    souffle_module_parallel_for(" << teFunctionName(te_id)
+           << ", tensors, " << extent << ");\n";
+    else
+        os << "    " << teFunctionName(te_id) << "(tensors, 0, "
+           << extent << ");\n";
 }
 
 /** Function name of one megakernel task (= stage). */
@@ -89,71 +93,29 @@ taskFunctionName(const Kernel &kernel, size_t stage)
            + std::to_string(stage);
 }
 
-/**
- * Emit one megakernel stage as a static C function over the raw
- * tensor table. Taking `double *const *` directly (instead of the
- * per-tensor parameter list the flat kernels use) keeps the per-task
- * dispatch entry a one-line call for any stage.
- */
-std::string
-emitCTaskFunction(const TeProgram &program, const Kernel &kernel,
-                  size_t stage_index)
+/** Emit one megakernel stage as a list of TE calls. */
+void
+emitCTaskFunction(std::ostringstream &os, const TeProgram &program,
+                  const Kernel &kernel, size_t stage_index)
 {
     const KernelStage &stage = kernel.stages[stage_index];
-    std::ostringstream os;
     os << "/* task " << stage_index << ": " << stage.name << " ("
        << stage.numBlocks << " blocks on the device) */\n";
     os << "static void\n"
        << taskFunctionName(kernel, stage_index)
        << "(double *const *tensors)\n{\n";
-
-    // Local aliases for the tensors this stage's TE loops reference
-    // (instr-only tensors would just be unused variables here), same
-    // const/restrict discipline as the flat kernel parameters.
-    std::vector<TensorId> params;
-    std::unordered_set<TensorId> seen, written;
-    auto note = [&](TensorId tensor) {
-        if (tensor >= 0 && seen.insert(tensor).second)
-            params.push_back(tensor);
-    };
-    for (int te_id : stage.teIds) {
-        const TensorExpr &te = program.te(te_id);
-        note(te.output);
-        written.insert(te.output);
-        for (TensorId in : te.inputs)
-            note(in);
-    }
-    for (TensorId id : params) {
-        const TensorDecl &decl = program.tensor(id);
-        if (written.count(id))
-            os << "    double *restrict t" << id;
-        else
-            os << "    const double *restrict t" << id;
-        os << " = tensors[" << id << "]; /* " << decl.name << " "
-           << shapeToString(decl.shape) << " */\n";
-    }
-    if (params.empty())
+    if (stage.teIds.empty())
         os << "    (void)tensors;\n";
-
     for (int te_id : stage.teIds)
-        emitTeLoop(os, program, program.te(te_id), "    ");
-    os << "}\n";
-    return os.str();
+        emitTeCall(os, program, te_id);
+    os << "}\n\n";
 }
 
-} // namespace
-
-std::string
-emitCKernel(const TeProgram &program, const Kernel &kernel)
+/** Emit one flat kernel as stage-ordered lists of TE calls. */
+void
+emitCKernel(std::ostringstream &os, const TeProgram &program,
+            const Kernel &kernel)
 {
-    std::ostringstream os;
-
-    std::vector<TensorId> params;
-    std::unordered_set<TensorId> written;
-    collectParams(program, kernel, params, written);
-
-    const std::string name = sanitizeIdentifier(kernel.name);
-
     os << "/* " << kernel.name << ": " << kernel.stages.size()
        << " stage(s); GPU launch <<<" << kernel.numBlocks() << ", "
        << kernel.threadsPerBlock() << ", " << kernel.sharedMemBytes()
@@ -162,26 +124,14 @@ emitCKernel(const TeProgram &program, const Kernel &kernel)
         os << "; library tactic x" << kernel.libraryTimeFactor
            << " inlined as reference loops";
     os << " */\n";
-    os << "static void\n" << name << "(";
-    for (size_t p = 0; p < params.size(); ++p) {
-        const TensorDecl &decl = program.tensor(params[p]);
-        if (p)
-            os << ",\n" << std::string(name.size() + 1, ' ');
-        const std::string type = cTypeName(decl.dtype, kDialect);
-        if (!written.count(params[p]))
-            os << "const " << type << " *restrict t" << params[p];
-        else
-            os << type << " *restrict t" << params[p];
-        os << " /* " << decl.name << " " << shapeToString(decl.shape)
-           << " " << dtypeName(decl.dtype) << " */";
-    }
-    os << ")\n{\n";
-
+    os << "static void\n"
+       << sanitizeIdentifier(kernel.name) << "(double *const *tensors)\n{\n";
+    bool empty = true;
     for (size_t s = 0; s < kernel.stages.size(); ++s) {
         const KernelStage &stage = kernel.stages[s];
-        os << "\n    /* ---- stage " << s << ": " << stage.name;
+        os << "    /* ---- stage " << s << ": " << stage.name;
         // Note the fence from the instruction stream (sync-elim may
-        // have deleted redundant ones); sequential loops satisfy
+        // have deleted redundant ones); sequential stages satisfy
         // every ordering a fence could ask for.
         bool has_sync = false;
         for (const auto &instr : stage.instrs)
@@ -190,35 +140,64 @@ emitCKernel(const TeProgram &program, const Kernel &kernel)
             os << " (grid.sync() barrier: no-op, stages run "
                   "sequentially)";
         os << " */\n";
-        for (int te_id : stage.teIds)
-            emitTeLoop(os, program, program.te(te_id), "    ");
+        for (int te_id : stage.teIds) {
+            emitTeCall(os, program, te_id);
+            empty = false;
+        }
     }
-    os << "}\n";
-    return os.str();
+    if (empty)
+        os << "    (void)tensors;\n";
+    os << "}\n\n";
 }
+
+} // namespace
 
 std::string
 emitCModule(const Compiled &compiled)
 {
     const TeProgram &program = compiled.program;
+    const CompiledModule &module = compiled.module;
     std::ostringstream os;
     os << "/* Generated by the Souffle reproduction compiler ("
        << compiled.name << "), C/CPU backend */\n"
-       << "/* " << compiled.module.numKernels() << " kernel(s), "
+       << "/* " << module.numKernels() << " kernel(s), "
        << program.numTes() << " tensor expression(s), "
        << program.numTensors() << " tensor(s) */\n"
        << "#include <math.h>\n"
        << "#include <stddef.h>\n\n";
 
-    if (compiled.module.megakernel()) {
+    os << "/* host parallel_for: body over [0, n) in contiguous chunks;\n"
+          "   serial until the runtime points it at its thread pool */\n"
+       << "typedef void (*souffle_range_fn)(double *const *, long, "
+          "long);\n"
+       << "static void\nsouffle_serial_for(souffle_range_fn body, "
+          "double *const *tensors, long n)\n{\n"
+       << "    body(tensors, 0, n);\n}\n"
+       << "void (*" << kNativeModuleParallelForSymbol
+       << ")(souffle_range_fn, double *const *, long) =\n"
+       << "    souffle_serial_for;\n\n";
+
+    // Every TE a stage runs, once, in first-call order.
+    std::unordered_set<int> emitted;
+    for (const Kernel &kernel : module.kernels)
+        for (const KernelStage &stage : kernel.stages)
+            for (int te_id : stage.teIds)
+                if (emitted.insert(te_id).second)
+                    emitTeFunction(os, program, te_id);
+
+    const char *entry_comment =
+        "/* entry: tensors[id] = double buffer of tensor id "
+        "(inputs/params/outputs external, intermediates from the "
+        "MemoryPlan workspace) */\n";
+    if (module.megakernel()) {
         // V5: one function per task (= stage of the persistent
         // kernel), a per-task dispatch entry the native runtime uses
         // to drain the task graph on a thread pool, and a sequential
         // main that runs the stages in order (any topological order
         // of the task graph, of which stage order is one).
-        const Kernel &kernel = compiled.module.kernels.front();
+        const Kernel &kernel = module.kernels.front();
         for (size_t s = 0; s < kernel.stages.size(); ++s)
-            os << emitCTaskFunction(program, kernel, s) << "\n";
+            emitCTaskFunction(os, program, kernel, s);
 
         os << "/* task dispatch: one stage of the persistent "
               "megakernel per call */\n";
@@ -230,10 +209,7 @@ emitCModule(const Compiled &compiled)
                << taskFunctionName(kernel, s) << "(tensors); break;\n";
         os << "    default: break;\n    }\n}\n\n";
 
-        os << "/* entry: tensors[id] = double buffer of tensor id "
-           << "(inputs/params/outputs external, intermediates from "
-           << "the MemoryPlan workspace) */\n";
-        os << "void\n" << kNativeModuleEntrySymbol
+        os << entry_comment << "void\n" << kNativeModuleEntrySymbol
            << "(double *const *tensors)\n{\n";
         if (kernel.stages.empty())
             os << "    (void)tensors;\n";
@@ -244,29 +220,16 @@ emitCModule(const Compiled &compiled)
         return os.str();
     }
 
-    for (const auto &kernel : compiled.module.kernels)
-        os << emitCKernel(program, kernel) << "\n";
+    for (const Kernel &kernel : module.kernels)
+        emitCKernel(os, program, kernel);
 
-    // The module entry point: tensors[id] is the buffer of tensor id.
-    os << "/* entry: tensors[id] = double buffer of tensor id "
-       << "(inputs/params/outputs external, intermediates from the "
-       << "MemoryPlan workspace) */\n";
-    os << "void\n" << kNativeModuleEntrySymbol
+    os << entry_comment << "void\n" << kNativeModuleEntrySymbol
        << "(double *const *tensors)\n{\n";
-    if (compiled.module.kernels.empty())
+    if (module.kernels.empty())
         os << "    (void)tensors;\n";
-    for (const auto &kernel : compiled.module.kernels) {
-        std::vector<TensorId> params;
-        std::unordered_set<TensorId> written;
-        collectParams(program, kernel, params, written);
-        os << "    " << sanitizeIdentifier(kernel.name) << "(";
-        for (size_t p = 0; p < params.size(); ++p) {
-            if (p)
-                os << ", ";
-            os << "tensors[" << params[p] << "]";
-        }
-        os << ");\n";
-    }
+    for (const Kernel &kernel : module.kernels)
+        os << "    " << sanitizeIdentifier(kernel.name)
+           << "(tensors);\n";
     os << "}\n";
     return os.str();
 }

@@ -11,10 +11,10 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 
 #include "codegen/c_cpu.h"
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -48,15 +48,6 @@ ensureDir(const std::string &dir)
         SOUFFLE_FATAL("cannot create native build dir '" << dir << "'");
 }
 
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream file(path);
-    std::ostringstream text;
-    text << file.rdbuf();
-    return text.str();
-}
-
 /**
  * Atomic write: temp file + rename, same discipline as the
  * ArtifactCache disk layer, so concurrent builders never expose a
@@ -79,31 +70,30 @@ writeFileAtomic(const std::string &path, const std::string &content)
     }
 }
 
+/** An emitted TE range function: runs output elements [lo, hi). */
+using RangeFn = void (*)(double *const *tensors, long lo, long hi);
+/** Type of the emitted `souffle_module_parallel_for` hook variable. */
+using ParallelForFn = void (*)(RangeFn body, double *const *tensors,
+                               long n);
+
 /**
- * Probe once per process whether the host toolchain accepts
- * `-fopenmp` for building shared objects (clang without libomp does
- * not). Emitted pragmas are inert without it, so failure just means a
- * sequential module.
+ * The host side of the emitted `souffle_module_parallel_for` hook:
+ * split [0, n) into one contiguous chunk per pool lane and run them
+ * with parallelFor. Called from inside V5 pool tasks too, which is
+ * plain parallelFor nesting. Every element computes its full result
+ * alone, so the split never changes the output. noexcept: the caller
+ * is C code no exception may unwind through, so a failure to
+ * dispatch (allocation) terminates instead.
  */
-bool
-openMpSupported(const std::string &cc, const std::string &dir)
+void
+hostParallelFor(RangeFn body, double *const *tensors, long n) noexcept
 {
-    static const bool supported = [&] {
-        const std::string stem =
-            dir + "/omp-probe." + std::to_string(::getpid());
-        writeFileAtomic(stem + ".c",
-                        "int probe(int n){int s=0;\n"
-                        "#pragma omp parallel for\n"
-                        "for(int i=0;i<n;++i)s+=i;return s;}\n");
-        const std::string cmd = cc + " -fopenmp -O0 -fPIC -shared -x c '"
-                                + stem + ".c' -o '" + stem
-                                + ".so' >/dev/null 2>&1";
-        const int status = std::system(cmd.c_str());
-        std::remove((stem + ".c").c_str());
-        std::remove((stem + ".so").c_str());
-        return status == 0;
-    }();
-    return supported;
+    const int64_t chunks =
+        std::min<int64_t>(ThreadPool::globalJobs(), n);
+    parallelFor(chunks, [&](int64_t c) {
+        body(tensors, static_cast<long>(n * c / chunks),
+             static_cast<long>(n * (c + 1) / chunks));
+    });
 }
 
 /**
@@ -232,17 +222,15 @@ NativeModule::NativeModule(const std::string &c_source,
             soPath + ".tmp." + std::to_string(::getpid());
         const std::string log =
             stem + ".log." + std::to_string(::getpid());
-        const std::string cc = hostCompiler();
-        std::string cmd = cc + " -O2 -fPIC -shared";
-        if (options.enableOpenMp && openMpSupported(cc, dir))
-            cmd += " -fopenmp";
-        cmd += " -x c '" + src + "' -o '" + temp_so + "' -lm 2> '" + log
-               + "'";
+        const std::string cmd = hostCompiler() + " -O2 -fPIC -shared -x c '"
+                                + src + "' -o '" + temp_so + "' -lm 2> '"
+                                + log + "'";
         const int status = std::system(cmd.c_str());
         if (!options.keepSource)
             std::remove(src.c_str());
         if (status != 0) {
-            const std::string diag = readWholeFile(log);
+            const std::string diag =
+                readFileContents(log).value_or("");
             std::remove(log.c_str());
             std::remove(temp_so.c_str());
             SOUFFLE_FATAL("host C compile failed (status "
@@ -271,6 +259,10 @@ NativeModule::NativeModule(const std::string &c_source,
                                  << why);
     }
     entryFn = reinterpret_cast<EntryFn>(symbol);
+    // Serve the module's parallel loops from the ThreadPool. Optional:
+    // hand-written modules without the hook still load.
+    if (void *hook = ::dlsym(handle, kNativeModuleParallelForSymbol))
+        *static_cast<ParallelForFn *>(hook) = hostParallelFor;
     // Optional: only megakernel modules export the per-task entry.
     taskFn = reinterpret_cast<TaskFn>(
         ::dlsym(handle, kNativeModuleTaskSymbol));

@@ -11,10 +11,17 @@
  * object file is named by the fingerprint of the source text and
  * written with the ArtifactCache's crash-safe discipline (temp file +
  * atomic rename), so concurrent builders of the same module are
- * harmless and a warm directory skips the compiler entirely. OpenMP
- * is probed once per process: when the toolchain accepts `-fopenmp`
- * the emitted `#pragma omp` loops parallelize, otherwise the pragmas
- * are inert and the module builds anyway.
+ * harmless and a warm directory skips the compiler entirely.
+ *
+ * Native code has one threading runtime, the process-wide ThreadPool.
+ * The module links no thread library; right after loading it,
+ * NativeModule points the module's `souffle_module_parallel_for` hook
+ * at a host function that splits [0, n) into one contiguous chunk per
+ * pool lane and runs the chunks with `parallelFor`. The emitter sends
+ * only TEs with enough work through the hook (see codegen/c_cpu.h).
+ * Each output element is computed whole by one chunk, so results are
+ * byte-identical at any job count. With no foreign thread runtime in
+ * the object, `dlclose` on destruction is safe.
  *
  * `NativeExecutor` is the runtime harness around a loaded module: it
  * re-plans the MemoryPlan on a dtype-widened (all-fp32) copy of the
@@ -23,7 +30,9 @@
  * workspace (the C ABI stores every tensor as `double`; scaling every
  * slot uniformly preserves the plan's disjointness). Buffers are
  * bound by tensor name exactly like the simulated `Executor`, the
- * module runs through `souffle_module_main`, and the outputs come
+ * module runs through `souffle_module_main` (V5 megakernels: task
+ * wavefronts on the ThreadPool, whose tasks call the same hook from
+ * inside pool tasks -- plain parallelFor nesting), and the outputs come
  * back as double buffers directly comparable against the TE
  * interpreter.
  */
@@ -45,8 +54,6 @@ struct NativeBuildOptions
      * Empty = `$TMPDIR`/`/tmp` + "/souffle-native".
      */
     std::string workDir;
-    /** Probe `-fopenmp` and use it when the toolchain accepts it. */
-    bool enableOpenMp = true;
     /** Keep the generated .c file next to the object (debugging). */
     bool keepSource = true;
 };

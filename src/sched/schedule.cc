@@ -203,6 +203,16 @@ AutoScheduler::signatureOf(const TensorExpr &te) const
     sig += std::to_string(countUnitOps(te.body));
     sig += "|n";
     sig += std::to_string(te.body->numReads());
+    // The search also reads the combiner (tensor-core eligibility),
+    // the weighted FLOPs and the memory footprint. Keying on them
+    // keeps the memo a function of every search input, so which of
+    // two racing TEs fills a slot first never shows in the result.
+    sig += "|c";
+    sig += std::to_string(static_cast<int>(te.combiner));
+    sig += "|f";
+    sig += std::to_string(info.flops);
+    sig += "|b";
+    sig += std::to_string(info.memFootprintBytes);
     return sig;
 }
 

@@ -3,7 +3,8 @@
 #
 #   artifact_store_gate.sh <path/to/souffle_cli> [python3]
 #
-# 1. Stores written at jobs=1 and jobs=8 are byte-identical.
+# 1. Stores written at jobs=1 and jobs=8 are byte-identical (V4 and
+#    V5 artifacts).
 # 2. Reloading every stored model runs zero candidate evaluations.
 # 3. serve-sim fed from the store compiles nothing online
 #    (compile_ms == 0, schedule_misses == 0).
@@ -20,8 +21,12 @@ store8="$work/store8"
 models="BERT ResNeXt LSTM EfficientNet SwinTransformer MMoE"
 
 for model in $models; do
-    "$cli" compile "zoo-tiny:$model" --jobs=1 --save="$store1" > /dev/null
-    "$cli" compile "zoo-tiny:$model" --jobs=8 --save="$store8" > /dev/null
+    for level in 4 5; do
+        "$cli" compile "zoo-tiny:$model" --level=$level --jobs=1 \
+            --save="$store1" > /dev/null
+        "$cli" compile "zoo-tiny:$model" --level=$level --jobs=8 \
+            --save="$store8" > /dev/null
+    done
 done
 for model in BERT EfficientNet; do   # the batchable zoo models
     "$cli" compile "zoo-tiny:$model" --batch=8 --jobs=1 --save="$store1" > /dev/null

@@ -9,6 +9,8 @@
  * `Compiled::generatedSource`.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "codegen/backend.h"
@@ -239,9 +241,17 @@ TEST(CCodegen, BalancedBracesNoGpuConstructsAndEntryPoint)
                          "*tensors)"),
                   std::string::npos)
             << model;
-        // One static function per kernel, each invoked by the entry.
+        // One static range function per distinct TE, one per kernel,
+        // and the serial default of the parallel_for hook.
+        std::set<int> tes;
+        for (const Kernel &kernel : compiled.module.kernels)
+            for (const KernelStage &stage : kernel.stages)
+                tes.insert(stage.teIds.begin(), stage.teIds.end());
         EXPECT_EQ(count(c, "static void"),
-                  compiled.module.numKernels())
+                  compiled.module.numKernels()
+                      + static_cast<int>(tes.size()) + 1)
+            << model;
+        EXPECT_EQ(count(c, "\nte_"), static_cast<int>(tes.size()))
             << model;
     }
 }
@@ -259,7 +269,7 @@ TEST(CCodegen, GridSyncStagesBecomeSequentialLoops)
     const std::string c = emitCModule(compiled);
     EXPECT_NE(c.find("grid.sync() barrier: no-op"),
               std::string::npos);
-    EXPECT_GE(count(c, "for (long i = 0; i < "), 2);
+    EXPECT_GE(count(c, "for (long i = lo; i < hi; ++i)"), 2);
 }
 
 TEST(CCodegen, Fp16TensorsWidenToDouble)
@@ -274,14 +284,39 @@ TEST(CCodegen, Fp16TensorsWidenToDouble)
     EXPECT_NE(c.find("const double *restrict t"), std::string::npos);
 }
 
-TEST(CCodegen, LargeLoopsCarryOpenMpPragma)
+TEST(CCodegen, LargeTesDispatchThroughParallelForHook)
 {
-    Graph g;
-    const ValueId x = g.input("x", {256, 256});
-    g.markOutput(g.relu(x)); // 65536 elements >= the 4096 threshold
-    const Compiled compiled = compileSouffle(g, {});
-    const std::string c = emitCModule(compiled);
-    EXPECT_NE(c.find("#pragma omp parallel for"), std::string::npos);
+    // No emitted module carries an OpenMP pragma, at any level.
+    for (const std::string model :
+         {"BERT", "ResNeXt", "LSTM", "EfficientNet", "SwinTransformer",
+          "MMoE"}) {
+        for (int level = 0; level <= 5; ++level) {
+            SouffleOptions options;
+            options.level = static_cast<SouffleLevel>(level);
+            const Compiled compiled =
+                compileSouffle(buildTinyModel(model), options);
+            EXPECT_EQ(emitCModule(compiled).find("#pragma omp"),
+                      std::string::npos)
+                << model << " V" << level;
+        }
+    }
+
+    // 65536 elements of work go through the host hook...
+    Graph large;
+    large.markOutput(large.relu(large.input("x", {256, 256})));
+    const std::string large_c = emitCModule(compileSouffle(large, {}));
+    EXPECT_NE(large_c.find("souffle_module_parallel_for(te_0, tensors, "
+                           "65536L);"),
+              std::string::npos);
+
+    // ...while a 4-element TE is called inline over its whole range.
+    Graph tiny;
+    tiny.markOutput(tiny.relu(tiny.input("x", {4})));
+    const std::string tiny_c = emitCModule(compileSouffle(tiny, {}));
+    EXPECT_NE(tiny_c.find("    te_0(tensors, 0, 4L);"),
+              std::string::npos);
+    EXPECT_EQ(tiny_c.find("souffle_module_parallel_for(te_"),
+              std::string::npos);
 }
 
 TEST(CCodegen, DialectSplitsRsqrt)

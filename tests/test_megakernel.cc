@@ -353,35 +353,52 @@ struct GlobalJobsGuard
 TEST(Megakernel, NativeOutputsAreByteIdenticalAcrossJobCounts)
 {
     GlobalJobsGuard guard;
-    const Compiled v5 =
-        compileTinyAt("BERT", SouffleLevel::kV5, "c");
-    ASSERT_TRUE(v5.module.megakernel());
-
     NativeBuildOptions build;
     build.workDir = "megakernel-native-test-dir";
-    const NativeExecutor native(v5, build);
-    ASSERT_FALSE(native.taskWavefronts().empty());
-    // Wavefronts partition the task set exactly.
-    size_t staged = 0;
-    for (const auto &wave : native.taskWavefronts())
-        staged += wave.size();
-    EXPECT_EQ(static_cast<int>(staged),
-              v5.module.taskGraph.numTasks());
+    // BERT runs every TE inline; EfficientNet sends large TEs through
+    // the parallel_for hook -- from flat kernels at V4 and from inside
+    // pool tasks at V5.
+    for (const std::string model : {"BERT", "EfficientNet"}) {
+        for (const SouffleLevel level :
+             {SouffleLevel::kV4, SouffleLevel::kV5}) {
+            SCOPED_TRACE(model + " V"
+                         + std::to_string(static_cast<int>(level)));
+            const Compiled compiled = compileTinyAt(model, level, "c");
+            EXPECT_EQ(compiled.generatedSource.find(
+                          "souffle_module_parallel_for(te_")
+                          != std::string::npos,
+                      model == "EfficientNet");
 
-    const NamedBuffers inputs = native.randomInputs();
-    ThreadPool::setGlobalJobs(1);
-    const NamedBuffers serial = native.run(inputs);
-    ThreadPool::setGlobalJobs(8);
-    const NamedBuffers wide = native.run(inputs);
+            const NativeExecutor native(compiled, build);
+            if (level == SouffleLevel::kV5) {
+                ASSERT_TRUE(compiled.module.megakernel());
+                ASSERT_FALSE(native.taskWavefronts().empty());
+                // Wavefronts partition the task set exactly.
+                size_t staged = 0;
+                for (const auto &wave : native.taskWavefronts())
+                    staged += wave.size();
+                EXPECT_EQ(static_cast<int>(staged),
+                          compiled.module.taskGraph.numTasks());
+            } else {
+                EXPECT_TRUE(native.taskWavefronts().empty());
+            }
 
-    ASSERT_EQ(serial.size(), wide.size());
-    for (const auto &[name, buffer] : serial) {
-        const auto found = wide.find(name);
-        ASSERT_NE(found, wide.end()) << name;
-        ASSERT_EQ(buffer.size(), found->second.size()) << name;
-        for (size_t i = 0; i < buffer.size(); ++i)
-            ASSERT_EQ(buffer[i], found->second[i])
-                << name << "[" << i << "]";
+            const NamedBuffers inputs = native.randomInputs();
+            ThreadPool::setGlobalJobs(1);
+            const NamedBuffers serial = native.run(inputs);
+            ThreadPool::setGlobalJobs(8);
+            const NamedBuffers wide = native.run(inputs);
+
+            ASSERT_EQ(serial.size(), wide.size());
+            for (const auto &[name, buffer] : serial) {
+                const auto found = wide.find(name);
+                ASSERT_NE(found, wide.end()) << name;
+                ASSERT_EQ(buffer.size(), found->second.size()) << name;
+                for (size_t i = 0; i < buffer.size(); ++i)
+                    ASSERT_EQ(buffer[i], found->second[i])
+                        << name << "[" << i << "]";
+            }
+        }
     }
 }
 

@@ -106,6 +106,36 @@ TEST(Scheduler, MemoizationBySignature)
     EXPECT_GE(s.scheduler->memoHits(), 1);
 }
 
+TEST(Scheduler, MemoHitsNeverDependOnScheduleOrder)
+{
+    // Same shape, op count and read count, different input footprint
+    // (full vs broadcast operand): the memo must not hand one TE the
+    // other's estimates, whichever is scheduled first.
+    Graph g;
+    const ValueId x = g.input("x", {64, 64});
+    const ValueId y = g.param("y", {64, 64});
+    const ValueId b = g.param("b", {64});
+    g.markOutput(g.add(x, y));
+    g.markOutput(g.add(x, b));
+    Scheduled s = scheduleGraph(g);
+    ASSERT_EQ(s.lowered.program.numTes(), 2);
+    const auto fresh = [&](int te_id) {
+        return AutoScheduler(s.lowered.program, *s.analysis,
+                             DeviceSpec::a100())
+            .schedule(te_id);
+    };
+    const Schedule alone0 = fresh(0);
+    const Schedule alone1 = fresh(1);
+    ASSERT_NE(alone0.estGlobalBytes, alone1.estGlobalBytes);
+
+    const Schedule late1 = s.scheduler->schedule(1);
+    const Schedule late0 = s.scheduler->schedule(0);
+    EXPECT_EQ(late0.estGlobalBytes, alone0.estGlobalBytes);
+    EXPECT_EQ(late1.estGlobalBytes, alone1.estGlobalBytes);
+    EXPECT_EQ(late0.estTimeUs, alone0.estTimeUs);
+    EXPECT_EQ(late1.estTimeUs, alone1.estTimeUs);
+}
+
 TEST(Scheduler, ScheduleAllCoversProgram)
 {
     Graph g;
