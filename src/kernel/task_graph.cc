@@ -4,6 +4,8 @@
 #include <deque>
 #include <sstream>
 
+#include "common/logging.h"
+
 namespace souffle {
 
 std::string
@@ -83,6 +85,91 @@ TaskGraph::toString() const
     for (const TaskEdge &edge : edges)
         os << "  edge " << edge.toString() << "\n";
     return os.str();
+}
+
+ReducedTaskEdges
+reduceTaskEdges(int num_tasks, const std::vector<TaskEdge> &derived)
+{
+    const auto n = static_cast<size_t>(std::max(0, num_tasks));
+    const size_t words = (n + 63) / 64;
+    auto row = [words](std::vector<uint64_t> &matrix, size_t task) {
+        return matrix.data() + task * words;
+    };
+
+    // First edge per (from, to) pair, in derivation order.
+    ReducedTaskEdges result;
+    std::vector<TaskEdge> unique_edges;
+    std::vector<std::vector<int>> succ(n);
+    std::vector<int> indeg(n, 0);
+    {
+        std::vector<uint64_t> seen(n * words, 0);
+        for (const TaskEdge &edge : derived) {
+            SOUFFLE_REQUIRE(edge.from >= 0 && edge.to >= 0
+                                && edge.from != edge.to
+                                && edge.from < num_tasks
+                                && edge.to < num_tasks,
+                            "malformed task edge " << edge.toString());
+            const auto from = static_cast<size_t>(edge.from);
+            const auto to = static_cast<size_t>(edge.to);
+            uint64_t &word = row(seen, from)[to / 64];
+            const uint64_t mask = uint64_t{1} << (to % 64);
+            if (word & mask)
+                continue;
+            word |= mask;
+            unique_edges.push_back(edge);
+            succ[from].push_back(edge.to);
+            ++indeg[to];
+        }
+    }
+
+    // Topological order (Kahn); processing it in reverse completes
+    // each task's successors' closures before its own.
+    std::vector<int> order;
+    order.reserve(n);
+    for (size_t u = 0; u < n; ++u)
+        if (indeg[u] == 0)
+            order.push_back(static_cast<int>(u));
+    for (size_t head = 0; head < order.size(); ++head) {
+        for (int v : succ[static_cast<size_t>(order[head])])
+            if (--indeg[static_cast<size_t>(v)] == 0)
+                order.push_back(v);
+    }
+    SOUFFLE_REQUIRE(order.size() == n, "task graph has a cycle");
+
+    std::vector<uint64_t> reach(n * words, 0);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        uint64_t *reach_u = row(reach, static_cast<size_t>(*it));
+        for (int v : succ[static_cast<size_t>(*it)]) {
+            const auto to = static_cast<size_t>(v);
+            reach_u[to / 64] |= uint64_t{1} << (to % 64);
+            const uint64_t *reach_v = row(reach, to);
+            for (size_t w = 0; w < words; ++w)
+                reach_u[w] |= reach_v[w];
+        }
+    }
+
+    // u -> v is implied iff another successor of u reaches v; no task
+    // reaches itself, so that is: v is in the union of the successors'
+    // closures.
+    std::vector<uint64_t> implied(n * words, 0);
+    for (size_t u = 0; u < n; ++u) {
+        uint64_t *implied_u = row(implied, u);
+        for (int w : succ[u]) {
+            const uint64_t *reach_w = row(reach, static_cast<size_t>(w));
+            for (size_t i = 0; i < words; ++i)
+                implied_u[i] |= reach_w[i];
+        }
+    }
+    for (const TaskEdge &edge : unique_edges) {
+        const auto to = static_cast<size_t>(edge.to);
+        if ((row(implied, static_cast<size_t>(edge.from))[to / 64]
+             >> (to % 64))
+            & 1U)
+            ++result.pruned;
+        else
+            result.edges.push_back(edge);
+    }
+    return result;
 }
 
 TaskGraphReachability::TaskGraphReachability(const TaskGraph &graph)

@@ -96,6 +96,31 @@ struct TaskGraph
     std::string toString() const;
 };
 
+/** The edges a scheduler enforces, and how many it can skip. */
+struct ReducedTaskEdges
+{
+    /** Kept edges, in derivation order. */
+    std::vector<TaskEdge> edges;
+    /** Distinct (from, to) pairs dropped as implied by a longer path. */
+    int pruned = 0;
+};
+
+/**
+ * Reduce the edges a lowering derived over @p num_tasks tasks (in
+ * derivation order, duplicates included) to the ones a scheduler must
+ * enforce. Keeps the first derived edge of each (from, to) pair, so
+ * its kind and tensor survive, then drops every pair a longer path
+ * already orders (transitive reduction): each edge costs the
+ * scheduler an event signal+wait, and reachability is unchanged.
+ * Every edge must satisfy 0 <= from != to < num_tasks; throws
+ * FatalError if the edges form a cycle.
+ *
+ * Reachability is held as one bit row of ceil(n/64) words per task,
+ * so the closure costs O(E * n / 64).
+ */
+ReducedTaskEdges reduceTaskEdges(int num_tasks,
+                                 const std::vector<TaskEdge> &derived);
+
 /**
  * Transitive-closure reachability over a task graph, for coverage
  * queries: a dependence def-stage -> use-stage is ordered iff the

@@ -294,29 +294,99 @@ Expr::substituteIndices(const AffineMap &sub) const
 namespace {
 
 /**
- * Rewrite a flat-transparent producer body so every read becomes a
- * flat read at @p offset_map (the consumer's flat read map).
+ * The producer body @p body placed at one read site of the consumer,
+ * built in one rebuild: its reads are renumbered through @p slot_remap
+ * and re-expressed in the consumer's index space. For a multi-dim
+ * read through @p site, every read map R becomes R o site and every
+ * predicate is rewritten over the consumer's indices (Eq. 2). For a
+ * flat read (@p flat), the body must be flat-transparent: its identity
+ * and flat-identity reads all denote "the same flat element as the
+ * output", so each becomes a flat read at @p site.
  */
 ExprPtr
-rewriteUnderFlatRead(const ExprPtr &body, const AffineMap &offset_map)
+placeAtSite(const ExprPtr &body, const AffineMap &site, bool flat,
+            const std::vector<int> &slot_remap)
 {
     switch (body->kind()) {
       case ExprKind::kConst:
         return body;
-      case ExprKind::kRead:
-        // Identity multi-dim reads and flat-identity reads both denote
-        // "same flat element as the output"; redirect to offset_map.
-        return Expr::readFlat(body->readSlot(), offset_map);
+      case ExprKind::kRead: {
+        const int slot = slot_remap[static_cast<size_t>(body->readSlot())];
+        if (flat)
+            return Expr::readFlat(slot, site);
+        if (body->isFlatRead())
+            return Expr::readFlat(slot, body->readMap().compose(site));
+        return Expr::read(slot, body->readMap().compose(site));
+      }
       case ExprKind::kUnary:
         return Expr::unary(body->unaryOp(),
-                           rewriteUnderFlatRead(body->lhs(), offset_map));
+                           placeAtSite(body->lhs(), site, flat, slot_remap));
       case ExprKind::kBinary:
         return Expr::binary(
             body->binaryOp(),
-            rewriteUnderFlatRead(body->lhs(), offset_map),
-            rewriteUnderFlatRead(body->rhs(), offset_map));
-      case ExprKind::kSelect:
-        SOUFFLE_PANIC("select is not flat-transparent");
+            placeAtSite(body->lhs(), site, flat, slot_remap),
+            placeAtSite(body->rhs(), site, flat, slot_remap));
+      case ExprKind::kSelect: {
+        SOUFFLE_CHECK(!flat, "select is not flat-transparent");
+        Predicate pred;
+        pred.reserve(body->predicate().size());
+        for (const auto &cond : body->predicate())
+            pred.push_back(cond.substitute(site));
+        return Expr::select(
+            std::move(pred),
+            placeAtSite(body->lhs(), site, flat, slot_remap),
+            placeAtSite(body->rhs(), site, flat, slot_remap));
+      }
+    }
+    SOUFFLE_PANIC("unreachable expression kind");
+}
+
+/** inlineSlot's single rebuild of the consumer body @p node. */
+ExprPtr
+inlineRenumbered(const ExprPtr &node, int target_slot,
+                 const ExprPtr &replacement,
+                 const std::vector<int> &replacement_remap,
+                 const std::vector<int> &slot_remap)
+{
+    switch (node->kind()) {
+      case ExprKind::kConst:
+        return node;
+      case ExprKind::kRead: {
+        const int slot = node->readSlot();
+        // Caller must have checked isFlatTransparent() for flat reads.
+        if (slot == target_slot)
+            return placeAtSite(replacement, node->readMap(),
+                               node->isFlatRead(), replacement_remap);
+        SOUFFLE_CHECK(slot < static_cast<int>(slot_remap.size()),
+                      "slot remap out of range");
+        const int to = slot_remap[static_cast<size_t>(slot)];
+        if (to == slot)
+            return node;
+        if (node->isFlatRead())
+            return Expr::readFlat(to, node->readMap());
+        return Expr::read(to, node->readMap());
+      }
+      case ExprKind::kUnary: {
+        ExprPtr a = inlineRenumbered(node->lhs(), target_slot, replacement,
+                                     replacement_remap, slot_remap);
+        if (a == node->lhs())
+            return node;
+        return Expr::unary(node->unaryOp(), std::move(a));
+      }
+      case ExprKind::kBinary:
+      case ExprKind::kSelect: {
+        ExprPtr a = inlineRenumbered(node->lhs(), target_slot, replacement,
+                                     replacement_remap, slot_remap);
+        ExprPtr b = inlineRenumbered(node->rhs(), target_slot, replacement,
+                                     replacement_remap, slot_remap);
+        if (a == node->lhs() && b == node->rhs())
+            return node;
+        if (node->kind() == ExprKind::kBinary)
+            return Expr::binary(node->binaryOp(), std::move(a),
+                                std::move(b));
+        return Expr::select(node->predicate(), std::move(a),
+                            std::move(b));
+      }
     }
     SOUFFLE_PANIC("unreachable expression kind");
 }
@@ -325,37 +395,11 @@ rewriteUnderFlatRead(const ExprPtr &body, const AffineMap &offset_map)
 
 ExprPtr
 Expr::inlineSlot(int target_slot, const ExprPtr &replacement,
+                 const std::vector<int> &replacement_remap,
                  const std::vector<int> &slot_remap) const
 {
-    switch (exprKind) {
-      case ExprKind::kConst:
-        return shared_from_this();
-      case ExprKind::kRead:
-        if (slot == target_slot) {
-            if (flatRead) {
-                // Caller must have checked isFlatTransparent().
-                return rewriteUnderFlatRead(replacement, map)
-                    ->remapSlots(slot_remap);
-            }
-            // Re-express the producer body in this TE's index space
-            // (Eq. 2), then renumber the producer's input slots.
-            return replacement->substituteIndices(map)
-                ->remapSlots(slot_remap);
-        }
-        return shared_from_this();
-      case ExprKind::kUnary:
-        return unary(uop,
-                     a->inlineSlot(target_slot, replacement, slot_remap));
-      case ExprKind::kBinary:
-        return binary(
-            bop, a->inlineSlot(target_slot, replacement, slot_remap),
-            b->inlineSlot(target_slot, replacement, slot_remap));
-      case ExprKind::kSelect:
-        return select(
-            pred, a->inlineSlot(target_slot, replacement, slot_remap),
-            b->inlineSlot(target_slot, replacement, slot_remap));
-    }
-    SOUFFLE_PANIC("unreachable expression kind");
+    return inlineRenumbered(shared_from_this(), target_slot, replacement,
+                            replacement_remap, slot_remap);
 }
 
 ExprPtr

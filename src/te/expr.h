@@ -143,15 +143,19 @@ class Expr : public std::enable_shared_from_this<Expr>
     /**
      * Replace every read of @p target_slot with @p replacement (the
      * producer's body), substituted through the read's own index map
-     * (Eq. 2). @p slot_remap renumbers the *replacement's* read slots
-     * into this expression's slot space; reads of other slots of this
-     * expression are left untouched.
+     * (Eq. 2), and renumber the result into the consumer's final slot
+     * space in the same rebuild: a read of this expression's slot s
+     * becomes slot_remap[s], and a read of the replacement's slot r
+     * becomes replacement_remap[r]. Subtrees that neither read the
+     * target nor change slot are shared with this expression, not
+     * copied.
      *
      * If this expression reads the target through a *flat* map, the
      * replacement must be flat-transparent (see isFlatTransparent);
      * its reads are then rewritten to flat reads at the same offset.
      */
     ExprPtr inlineSlot(int target_slot, const ExprPtr &replacement,
+                       const std::vector<int> &replacement_remap,
                        const std::vector<int> &slot_remap) const;
 
     /** Renumber input slots: slot s becomes slot_remap[s]. */

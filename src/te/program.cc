@@ -239,7 +239,7 @@ TeProgram::removeDeadCode()
         if (!live_tensor[i])
             continue;
         tensor_remap[i] = static_cast<TensorId>(new_tensors.size());
-        TensorDecl decl = tensorTable[i];
+        TensorDecl decl = std::move(tensorTable[i]);
         decl.id = tensor_remap[i];
         decl.producer = -1; // re-linked below
         new_tensors.push_back(std::move(decl));
@@ -249,7 +249,7 @@ TeProgram::removeDeadCode()
     for (size_t i = 0; i < teList.size(); ++i) {
         if (!live_te[i])
             continue;
-        TensorExpr te = teList[i];
+        TensorExpr te = std::move(teList[i]);
         te.id = static_cast<int>(new_tes.size());
         te.output = tensor_remap[te.output];
         for (TensorId &in : te.inputs)

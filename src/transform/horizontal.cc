@@ -29,46 +29,58 @@ mergeSignature(const TeProgram &program, const TensorExpr &te)
     return os.str();
 }
 
+/** Where reads of one input slot move to inside a merged tensor
+ *  (both zero: the slot is not redirected). */
+struct SlotShift
+{
+    /** Added to the leading output row of a multi-dim read. */
+    int64_t rowOffset = 0;
+    /** Added to the offset of a flat read. */
+    int64_t flatOffset = 0;
+};
+
 /**
- * Rewrite reads of @p slot: multi-dim reads get @p row_offset added to
- * their leading output row; flat reads get @p flat_offset added.
- * Used to redirect consumers of a member output into the concatenated
- * tensor.
+ * Apply @p shifts (indexed by read slot) to every read of @p expr in
+ * one rebuild. Used to redirect consumers of member outputs into the
+ * concatenated tensors; subtrees with no shifted read are shared.
  */
 ExprPtr
-shiftReadsOfSlot(const ExprPtr &expr, int slot, int64_t row_offset,
-                 int64_t flat_offset)
+shiftReads(const ExprPtr &expr, const std::vector<SlotShift> &shifts)
 {
     switch (expr->kind()) {
       case ExprKind::kConst:
         return expr;
       case ExprKind::kRead: {
-        if (expr->readSlot() != slot)
+        const SlotShift &shift =
+            shifts[static_cast<size_t>(expr->readSlot())];
+        if (shift.rowOffset == 0)
             return expr;
         AffineMap map = expr->readMap();
         if (expr->isFlatRead()) {
-            map.addOffset(0, flat_offset);
-            return Expr::readFlat(slot, std::move(map));
+            map.addOffset(0, shift.flatOffset);
+            return Expr::readFlat(expr->readSlot(), std::move(map));
         }
-        map.addOffset(0, row_offset);
-        return Expr::read(slot, std::move(map));
+        map.addOffset(0, shift.rowOffset);
+        return Expr::read(expr->readSlot(), std::move(map));
       }
-      case ExprKind::kUnary:
-        return Expr::unary(expr->unaryOp(),
-                           shiftReadsOfSlot(expr->lhs(), slot,
-                                            row_offset, flat_offset));
+      case ExprKind::kUnary: {
+        ExprPtr a = shiftReads(expr->lhs(), shifts);
+        if (a == expr->lhs())
+            return expr;
+        return Expr::unary(expr->unaryOp(), std::move(a));
+      }
       case ExprKind::kBinary:
-        return Expr::binary(expr->binaryOp(),
-                            shiftReadsOfSlot(expr->lhs(), slot,
-                                             row_offset, flat_offset),
-                            shiftReadsOfSlot(expr->rhs(), slot,
-                                             row_offset, flat_offset));
-      case ExprKind::kSelect:
-        return Expr::select(expr->predicate(),
-                            shiftReadsOfSlot(expr->lhs(), slot,
-                                             row_offset, flat_offset),
-                            shiftReadsOfSlot(expr->rhs(), slot,
-                                             row_offset, flat_offset));
+      case ExprKind::kSelect: {
+        ExprPtr a = shiftReads(expr->lhs(), shifts);
+        ExprPtr b = shiftReads(expr->rhs(), shifts);
+        if (a == expr->lhs() && b == expr->rhs())
+            return expr;
+        if (expr->kind() == ExprKind::kBinary)
+            return Expr::binary(expr->binaryOp(), std::move(a),
+                                std::move(b));
+        return Expr::select(expr->predicate(), std::move(a),
+                            std::move(b));
+      }
     }
     SOUFFLE_PANIC("unreachable expression kind");
 }
@@ -225,17 +237,21 @@ horizontalTransform(TeProgram &program, int max_group_size)
                        ExprPtr body, std::vector<TensorId> old_inputs,
                        TensorId new_output) {
         std::vector<TensorId> new_inputs;
+        std::vector<SlotShift> shifts(old_inputs.size());
+        bool any_shift = false;
         for (size_t slot = 0; slot < old_inputs.size(); ++slot) {
             const TensorId old_in = old_inputs[slot];
             auto it = member_out.find(old_in);
             if (it != member_out.end()) {
                 const auto [g, offset] = it->second;
-                const int64_t flat_offset =
-                    offset
-                    * (program.te(groups[g].members[0]).outDomainSize()
-                       / program.te(groups[g].members[0]).outShape[0]);
-                body = shiftReadsOfSlot(body, static_cast<int>(slot),
-                                        offset, flat_offset);
+                if (offset != 0) {
+                    const TensorExpr &first =
+                        program.te(groups[g].members[0]);
+                    const int64_t row_elems =
+                        first.outDomainSize() / first.outShape[0];
+                    shifts[slot] = SlotShift{offset, offset * row_elems};
+                    any_shift = true;
+                }
                 SOUFFLE_CHECK(group_out[g] >= 0,
                               "merged group used before defined");
                 new_inputs.push_back(group_out[g]);
@@ -246,6 +262,8 @@ horizontalTransform(TeProgram &program, int max_group_size)
                 new_inputs.push_back(mapped);
             }
         }
+        if (any_shift)
+            body = shiftReads(body, shifts);
         rebuilt.addTe(name, std::move(new_inputs), new_output,
                       te.reduceExtents, te.combiner, std::move(body));
     };

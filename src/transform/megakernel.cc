@@ -1,9 +1,7 @@
 #include "transform/megakernel.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
-#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -106,22 +104,15 @@ applyMegakernel(const TeProgram &program, const GlobalAnalysis &analysis,
         graph.tasks.push_back(std::move(task));
     }
 
-    std::set<std::array<int64_t, 4>> seen;
+    // Every derived edge, in derivation order; reduceTaskEdges keeps
+    // the first per (from, to) pair, so the order below (RAW/WAR, then
+    // WAW, then alias) lets the most specific kind win.
+    std::vector<TaskEdge> derived;
     auto add_edge = [&](int from, int to, TensorId tensor,
                         TaskEdgeKind kind) {
         if (from == to || from < 0 || to < 0)
             return;
-        if (!seen
-                 .insert({from, to, tensor,
-                          static_cast<int64_t>(kind)})
-                 .second)
-            return;
-        TaskEdge edge;
-        edge.from = from;
-        edge.to = to;
-        edge.tensor = tensor;
-        edge.kind = kind;
-        graph.edges.push_back(edge);
+        derived.push_back(TaskEdge{from, to, tensor, kind});
     };
 
     // RAW/WAR edges: the merged stream's dataflow, projected onto
@@ -193,73 +184,11 @@ applyMegakernel(const TeProgram &program, const GlobalAnalysis &analysis,
     // already orders its endpoints — the scheduler charges an event
     // signal+wait per edge, so every pruned edge is pure overhead
     // saved, and reachability (what the lint rule checks) is
-    // untouched. Dedupe to one edge per (from, to) pair first (the
-    // earliest in derivation order keeps the most specific kind:
-    // RAW/WAR before WAW before alias).
-    {
-        const int n = graph.numTasks();
-        std::vector<TaskEdge> unique_edges;
-        std::set<std::pair<int, int>> pairs;
-        for (const TaskEdge &edge : graph.edges)
-            if (pairs.emplace(edge.from, edge.to).second)
-                unique_edges.push_back(edge);
-        std::vector<std::vector<bool>> reach(
-            static_cast<size_t>(n),
-            std::vector<bool>(static_cast<size_t>(n), false));
-        std::vector<std::vector<int>> succ(static_cast<size_t>(n));
-        for (const TaskEdge &edge : unique_edges)
-            succ[static_cast<size_t>(edge.from)].push_back(edge.to);
-        // Kahn topological order (ties by task index, deterministic);
-        // processing it in reverse makes each node's successors'
-        // closures complete before its own.
-        std::vector<int> indeg(static_cast<size_t>(n), 0);
-        for (const TaskEdge &edge : unique_edges)
-            ++indeg[static_cast<size_t>(edge.to)];
-        std::vector<int> order;
-        order.reserve(static_cast<size_t>(n));
-        std::set<int> frontier;
-        for (int u = 0; u < n; ++u)
-            if (indeg[static_cast<size_t>(u)] == 0)
-                frontier.insert(u);
-        while (!frontier.empty()) {
-            const int u = *frontier.begin();
-            frontier.erase(frontier.begin());
-            order.push_back(u);
-            for (int v : succ[static_cast<size_t>(u)])
-                if (--indeg[static_cast<size_t>(v)] == 0)
-                    frontier.insert(v);
-        }
-        SOUFFLE_REQUIRE(static_cast<int>(order.size()) == n,
-                        "megakernel task graph has a cycle");
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            const int u = *it;
-            for (int v : succ[static_cast<size_t>(u)]) {
-                reach[static_cast<size_t>(u)][static_cast<size_t>(v)] =
-                    true;
-                for (int w = 0; w < n; ++w)
-                    if (reach[static_cast<size_t>(v)]
-                             [static_cast<size_t>(w)])
-                        reach[static_cast<size_t>(u)]
-                             [static_cast<size_t>(w)] = true;
-            }
-        }
-        graph.edges.clear();
-        for (const TaskEdge &edge : unique_edges) {
-            bool redundant = false;
-            for (int w : succ[static_cast<size_t>(edge.from)]) {
-                if (w != edge.to
-                    && reach[static_cast<size_t>(w)]
-                            [static_cast<size_t>(edge.to)]) {
-                    redundant = true;
-                    break;
-                }
-            }
-            if (redundant)
-                ++stats.edgesPruned;
-            else
-                graph.edges.push_back(edge);
-        }
-    }
+    // untouched.
+    ReducedTaskEdges reduced =
+        reduceTaskEdges(graph.numTasks(), derived);
+    graph.edges = std::move(reduced.edges);
+    stats.edgesPruned = reduced.pruned;
 
     stats.tasks = graph.numTasks();
     stats.edges = graph.numEdges();

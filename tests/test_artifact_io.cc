@@ -107,7 +107,7 @@ TEST(TeSerialize, RoundTripsTransformedPrograms)
 {
     // Post-pipeline programs carry the transforms' handiwork (merged
     // TEs, rewritten reads); they must round-trip too.
-    for (const std::string &name : {"BERT", "ResNeXt", "MMoE"}) {
+    for (const char *name : {"BERT", "ResNeXt", "MMoE"}) {
         SouffleOptions options;
         const Compiled compiled =
             compileSouffle(buildTinyModel(name), options);

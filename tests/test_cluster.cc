@@ -97,8 +97,9 @@ TEST(FleetTraffic, SortedDenseInHorizonAndTenantsInRange)
         EXPECT_EQ(trace[i].id, static_cast<int>(i));
         EXPECT_GT(trace[i].arrivalUs, 0.0);
         EXPECT_LE(trace[i].arrivalUs, 80e3);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(trace[i].arrivalUs, trace[i - 1].arrivalUs);
+        }
         EXPECT_GE(trace[i].tenant, 0);
         EXPECT_LT(trace[i].tenant, 3);
     }
@@ -197,8 +198,9 @@ TEST(FleetFaults, GeneratedScheduleIsSortedSeededAndSane)
         EXPECT_EQ(a[i].replica, b[i].replica);
         EXPECT_GT(a[i].recoverAtUs, a[i].failAtUs);
         EXPECT_LT(a[i].replica, 3);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].failAtUs, a[i - 1].failAtUs);
+        }
     }
 }
 

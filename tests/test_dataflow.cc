@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -851,7 +852,7 @@ TEST_P(ZooVerify, VerifierIsCleanAtEveryLevelOnBothBackends)
 {
     const Graph graph = buildTinyModel(GetParam());
     for (int level = 0; level <= 5; ++level) {
-        for (const std::string &backend : {"cuda", "c"}) {
+        for (std::string_view backend : {"cuda", "c"}) {
             SouffleOptions options;
             options.level = static_cast<SouffleLevel>(level);
             options.backend = backend;
@@ -868,10 +869,11 @@ TEST_P(ZooVerify, VerifierIsCleanAtEveryLevelOnBothBackends)
                 << "\n"
                 << report.renderText();
             // Post-sync-elim (V4, GPU) every fence is needed.
-            if (level == 4 && backend == "cuda")
+            if (level == 4 && backend == "cuda") {
                 EXPECT_EQ(countRule(report, "redundant-sync"), 0)
                     << GetParam() << "\n"
                     << report.renderText();
+            }
         }
     }
 }

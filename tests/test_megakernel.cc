@@ -11,7 +11,8 @@
  *    the module in its V4 grid-sync form;
  *  - the task graph is transitively reduced but still covers every
  *    cross-stage dataflow edge (task-graph-dep lints clean; dropping
- *    one RAW edge makes it fire);
+ *    one RAW edge makes it fire), and the bit-row reduction matches a
+ *    brute-force DFS oracle on seeded random DAGs;
  *  - serialization: the module format v2 round-trips the task graph
  *    bit-exactly, unknown versions are rejected, and the artifact
  *    store round-trips a V5 compile (with corruption still caught by
@@ -23,6 +24,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -219,6 +222,123 @@ TEST(Megakernel, TransitiveReductionPrunesRedundantEdges)
     for (const TaskEdge &edge : module.taskGraph.edges)
         EXPECT_TRUE(pairs.emplace(edge.from, edge.to).second)
             << edge.toString();
+}
+
+/** Brute-force reduceTaskEdges: set dedupe plus DFS reachability. */
+ReducedTaskEdges
+reduceByDfs(int num_tasks, const std::vector<TaskEdge> &derived)
+{
+    const auto n = static_cast<size_t>(num_tasks);
+    std::vector<TaskEdge> unique_edges;
+    std::set<std::pair<int, int>> pairs;
+    std::vector<std::vector<int>> succ(n);
+    for (const TaskEdge &edge : derived) {
+        if (!pairs.emplace(edge.from, edge.to).second)
+            continue;
+        unique_edges.push_back(edge);
+        succ[static_cast<size_t>(edge.from)].push_back(edge.to);
+    }
+    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+    for (size_t start = 0; start < n; ++start) {
+        std::vector<int> stack = succ[start];
+        while (!stack.empty()) {
+            const auto u = static_cast<size_t>(stack.back());
+            stack.pop_back();
+            if (reach[start][u])
+                continue;
+            reach[start][u] = true;
+            for (int v : succ[u])
+                stack.push_back(v);
+        }
+    }
+    ReducedTaskEdges result;
+    for (const TaskEdge &edge : unique_edges) {
+        bool implied = false;
+        for (int w : succ[static_cast<size_t>(edge.from)])
+            implied = implied
+                      || (w != edge.to
+                          && reach[static_cast<size_t>(w)]
+                                  [static_cast<size_t>(edge.to)]);
+        if (implied)
+            ++result.pruned;
+        else
+            result.edges.push_back(edge);
+    }
+    return result;
+}
+
+TEST(TaskEdgeReduction, MatchesDfsOracleOnRandomDags)
+{
+    // Sizes straddle the 64-bit word boundaries of the bit rows; 748
+    // is the full-size LSTM's V5 task count.
+    std::mt19937_64 rng(20240427);
+    for (int n : {1, 63, 64, 65, 130, 748}) {
+        // A random topological order makes every edge point forward
+        // in it while task ids stay shuffled.
+        std::vector<int> order(static_cast<size_t>(n));
+        std::iota(order.begin(), order.end(), 0);
+        std::shuffle(order.begin(), order.end(), rng);
+        std::vector<TaskEdge> derived;
+        const int num_edges = n > 1 ? 6 * n : 0;
+        for (int e = 0; e < num_edges; ++e) {
+            const auto span = static_cast<uint64_t>(n);
+            auto i = static_cast<size_t>(rng() % span);
+            auto j = static_cast<size_t>(rng() % span);
+            if (i == j)
+                continue;
+            if (i > j)
+                std::swap(i, j);
+            const auto kind = static_cast<TaskEdgeKind>(rng() % 4);
+            derived.push_back(TaskEdge{
+                order[i], order[j],
+                kind == TaskEdgeKind::kAlias ? -1 : e, kind});
+            // Re-derive some pairs later with another kind: the first
+            // derivation must be the one that survives.
+            if (rng() % 4 == 0)
+                derived.push_back(TaskEdge{order[i], order[j], -1,
+                                           TaskEdgeKind::kAlias});
+        }
+        const ReducedTaskEdges expected = reduceByDfs(n, derived);
+        const ReducedTaskEdges got = reduceTaskEdges(n, derived);
+        EXPECT_EQ(got.pruned, expected.pruned) << "n=" << n;
+        ASSERT_EQ(got.edges.size(), expected.edges.size()) << "n=" << n;
+        for (size_t k = 0; k < got.edges.size(); ++k) {
+            const TaskEdge &g = got.edges[k];
+            const TaskEdge &x = expected.edges[k];
+            EXPECT_TRUE(g.from == x.from && g.to == x.to
+                        && g.tensor == x.tensor && g.kind == x.kind)
+                << "n=" << n << " edge " << k << ": " << g.toString()
+                << " vs " << x.toString();
+        }
+        if (n > 64) {
+            EXPECT_GT(got.pruned, 0) << "n=" << n;
+        }
+    }
+}
+
+TEST(TaskEdgeReduction, KeepsFirstKindOfDuplicatePairs)
+{
+    const std::vector<TaskEdge> derived = {
+        {0, 1, 7, TaskEdgeKind::kWar},  {0, 1, 7, TaskEdgeKind::kRaw},
+        {1, 2, 3, TaskEdgeKind::kRaw},  {0, 1, -1, TaskEdgeKind::kAlias},
+        {0, 2, 5, TaskEdgeKind::kWaw},  {1, 2, -1, TaskEdgeKind::kAlias},
+    };
+    const ReducedTaskEdges reduced = reduceTaskEdges(3, derived);
+    ASSERT_EQ(reduced.edges.size(), 2U);
+    EXPECT_EQ(reduced.edges[0].toString(), "WAR 0 -> 1 (t7)");
+    EXPECT_EQ(reduced.edges[1].toString(), "RAW 1 -> 2 (t3)");
+    EXPECT_EQ(reduced.pruned, 1); // 0 -> 2 is implied by 0 -> 1 -> 2
+}
+
+TEST(TaskEdgeReduction, RejectsCyclesAndMalformedEdges)
+{
+    EXPECT_THROW(reduceTaskEdges(2, {{0, 1, -1, TaskEdgeKind::kRaw},
+                                     {1, 0, -1, TaskEdgeKind::kRaw}}),
+                 FatalError);
+    EXPECT_THROW(reduceTaskEdges(2, {{1, 1, -1, TaskEdgeKind::kRaw}}),
+                 FatalError);
+    EXPECT_THROW(reduceTaskEdges(2, {{0, 2, -1, TaskEdgeKind::kRaw}}),
+                 FatalError);
 }
 
 TEST(Megakernel, TaskGraphDepLintsCleanOnEveryAppliedModel)

@@ -211,6 +211,83 @@ TEST(Vertical, ReluIntoReshapeIsFlatTransparent)
     expectSameOutputs(before, after, 0.0);
 }
 
+TEST(Vertical, InlinesMergedProducerReadThroughManySlots)
+{
+    // After a horizontal merge, a consumer of three members reads the
+    // merged tensor `h` through three slots (one per member row
+    // range). It also reads `q` flat and an input `w`. Each round
+    // inlines one slot, so the pass keeps slot order exact across four
+    // merges: dropped slots close up, producer inputs already present
+    // reuse their slot, and new ones are appended.
+    TeProgram program;
+    const DType f32 = DType::kFP32;
+    const TensorId a = program.addTensor("a", {2, 4}, f32,
+                                         TensorRole::kInput);
+    const TensorId b = program.addTensor("b", {2, 4}, f32,
+                                         TensorRole::kInput);
+    const TensorId c = program.addTensor("c", {2, 4}, f32,
+                                         TensorRole::kInput);
+    const TensorId w = program.addTensor("w", {2, 4}, f32,
+                                         TensorRole::kInput);
+    const TensorId r = program.addTensor("r", {8}, f32,
+                                         TensorRole::kInput);
+    const TensorId h = program.addTensor("h", {6, 4}, f32);
+    const TensorId q = program.addTensor("q", {8}, f32);
+    const TensorId out = program.addTensor("out", {2, 4}, f32,
+                                           TensorRole::kOutput);
+
+    auto rows_below = [](int64_t bound) {
+        return Predicate{AffineCond{{1, 0}, -bound, CmpOp::kLT}};
+    };
+    auto shifted = [](int64_t rows) {
+        AffineMap map = AffineMap::identity(2);
+        map.addOffset(0, rows);
+        return map;
+    };
+    const AffineMap id2 = AffineMap::identity(2);
+    // h = concat(relu(a), -b, exp(c)) along rows.
+    program.addTe(
+        "hmerge", {a, b, c}, h, {}, Combiner::kNone,
+        Expr::select(
+            rows_below(2),
+            Expr::unary(UnaryOp::kRelu, Expr::read(0, id2)),
+            Expr::select(
+                rows_below(4),
+                Expr::unary(UnaryOp::kNeg, Expr::read(1, shifted(-2))),
+                Expr::unary(UnaryOp::kExp,
+                            Expr::read(2, shifted(-4))))));
+    program.addTe("relu_r", {r}, q, {}, Combiner::kNone,
+                  Expr::unary(UnaryOp::kRelu,
+                              Expr::read(0, AffineMap::identity(1))));
+    // out = h[i] * w + h[i + 2] + h[i + 4] + q.flat[4i + j]
+    ExprPtr body = Expr::binary(BinaryOp::kMul, Expr::read(0, id2),
+                                Expr::read(1, id2));
+    body = Expr::binary(BinaryOp::kAdd, body,
+                        Expr::read(2, shifted(2)));
+    body = Expr::binary(BinaryOp::kAdd, body,
+                        Expr::read(3, shifted(4)));
+    body = Expr::binary(BinaryOp::kAdd, body,
+                        Expr::readFlat(4, flatIdentityMap({2, 4})));
+    program.addTe("consumer", {h, w, h, h, q}, out, {}, Combiner::kNone,
+                  body);
+    program.validate();
+    const TeProgram reference = program;
+
+    const VerticalStats stats = verticalTransform(program);
+    EXPECT_EQ(stats.merged, 4);
+    EXPECT_EQ(stats.rounds, 5);
+    ASSERT_EQ(program.numTes(), 1);
+    std::vector<std::string> inputs;
+    for (TensorId in : program.te(0).inputs)
+        inputs.push_back(program.tensor(in).name);
+    EXPECT_EQ(inputs,
+              (std::vector<std::string>{"w", "a", "b", "c", "r"}));
+
+    expectSameOutputs(interpretOutputsByName(reference, 5),
+                      interpretOutputsMatched(reference, program, 5),
+                      0.0);
+}
+
 TEST(Horizontal, MergesIndependentMatmulsSharingInput)
 {
     // The QKV pattern: three projections of the same input.
