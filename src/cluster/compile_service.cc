@@ -14,6 +14,13 @@ FleetCompileService::FleetCompileService(bool tiny, SouffleOptions base,
     sharedArtifacts = this->base.artifactCache;
 }
 
+FleetCompileService::FleetCompileService(serve::ModuleCache &cache)
+    : FleetCompileService(cache.tinyModels(), cache.options(),
+                          cache.artifactStore())
+{
+    caches.emplace(cache.options().device.name, &cache);
+}
+
 serve::ModuleCache &
 FleetCompileService::cacheFor(const std::string &device)
 {
@@ -22,13 +29,19 @@ FleetCompileService::cacheFor(const std::string &device)
         SouffleOptions options = base;
         options.device = DeviceSpec::byName(device);
         options.artifactCache = sharedArtifacts;
-        it = caches
-                 .emplace(device,
-                          std::make_unique<serve::ModuleCache>(
-                              tiny, std::move(options), artifactDir))
-                 .first;
+        owned.push_back(std::make_unique<serve::ModuleCache>(
+            tiny, std::move(options), artifactDir));
+        it = caches.emplace(device, owned.back().get()).first;
     }
     return *it->second;
+}
+
+DeviceSpec
+FleetCompileService::deviceFor(const std::string &device) const
+{
+    auto it = caches.find(device);
+    return it == caches.end() ? DeviceSpec::byName(device)
+                              : it->second->options().device;
 }
 
 AcquireResult

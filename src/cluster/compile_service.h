@@ -27,6 +27,10 @@
  * every bucket the service already holds for its device class
  * (`warmEntries`) — by construction that performs zero candidate
  * evaluations, which `tests/test_cluster.cc` pins.
+ *
+ * The serving simulator builds a service over the caller's one
+ * `serve::ModuleCache`, so its single replica fills that cache and
+ * runs on exactly `cache.options().device`, preset or not.
  */
 
 #include <map>
@@ -71,6 +75,15 @@ class FleetCompileService
     FleetCompileService(bool tiny, SouffleOptions base,
                         std::string artifact_dir = "");
 
+    /** A service whose device class `cache.options().device.name` is
+     *  served by the caller-owned @p cache (other classes get caches
+     *  of their own over its artifact cache and store). */
+    explicit FleetCompileService(serve::ModuleCache &cache);
+
+    /** The device class @p device runs on: its cache's device when
+     *  the class has one, else the DeviceSpec::byName preset. */
+    DeviceSpec deviceFor(const std::string &device) const;
+
     /** The compiled module for @p bucket of @p model on device class
      *  @p device (a DeviceSpec preset name), compiling on first use. */
     AcquireResult acquire(const std::string &device,
@@ -101,8 +114,10 @@ class FleetCompileService
     /** Compiled-artifact store root (empty: always compile). */
     std::string artifactDir;
     std::shared_ptr<ArtifactCache> sharedArtifacts;
-    /** Device preset name -> module cache for that class. */
-    std::map<std::string, std::unique_ptr<serve::ModuleCache>> caches;
+    /** Device class name -> module cache for that class. */
+    std::map<std::string, serve::ModuleCache *> caches;
+    /** The caches this service created (all but an adopted one). */
+    std::vector<std::unique_ptr<serve::ModuleCache>> owned;
     /** Device class -> (model, bucket) entries compiled fleet-wide
      *  (sorted, so `warmEntries` iterates deterministically). */
     std::map<std::string, std::set<std::pair<std::string, int>>> warm;

@@ -3,29 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace souffle::cluster {
-
-namespace {
-
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-double
-uniform01(uint64_t seed, uint64_t index)
-{
-    const uint64_t bits = mix64(seed ^ mix64(index)) >> 11;
-    return (static_cast<double>(bits) + 1.0) / 9007199254740993.0;
-}
-
-} // namespace
 
 const char *
 routerPolicyName(RouterPolicy policy)

@@ -48,7 +48,9 @@ struct TenantSpec
 /** One replica slot: a device preset plus its execution lanes. */
 struct ReplicaSpec
 {
-    /** DeviceSpec::byName preset ("a100", "v100", "h100"). */
+    /** Device class: a DeviceSpec::byName preset ("a100", "v100",
+     *  "h100"), or the device name of a cache the compile service
+     *  adopted. */
     std::string device = "a100";
     /** Concurrent simulated streams on this replica. */
     int numStreams = 2;

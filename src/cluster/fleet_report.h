@@ -11,8 +11,9 @@
  * simulated-time quantities and counters that are functions of the
  * simulation (queue/routing/fault/autoscaler state, bucket fills,
  * fleet compiles) — never wall-clock compile milliseconds and never
- * the tile-search candidate/schedule-cache counters, which vary with
- * compile thread count (memo races, see src/compiler parallel notes).
+ * the tile-search candidate/schedule-cache counters, which depend on
+ * what the shared artifact cache already holds, keyed by whichever TE
+ * of a signature a compile schedules first (see src/sched/schedule.h).
  * Those stay available on the struct for tests and text rendering.
  */
 

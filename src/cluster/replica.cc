@@ -38,7 +38,7 @@ Replica::Replica(int id, ReplicaSpec spec,
                  FleetCompileService &service,
                  ReplicaState initial_state)
     : replicaId(id), replicaSpec(std::move(spec)),
-      deviceSpec(DeviceSpec::byName(replicaSpec.device)),
+      deviceSpec(service.deviceFor(replicaSpec.device)),
       batcherTemplate(std::move(batcher_cfg)),
       maxQueueDepth(max_queue_depth), coldCompileUs(cold_compile_us),
       warmLoadUs(warm_load_us), service(service),
@@ -135,12 +135,12 @@ Replica::warmBucket(const std::string &model, int bucket)
     return {acquired.module, stall_us};
 }
 
-int
+std::span<const Dispatch>
 Replica::dispatch(double now_us, bool drain)
 {
     if (!isUp())
-        return 0;
-    int dispatched = 0;
+        return {};
+    size_t dispatched = 0;
     while (true) {
         int stream = -1;
         for (size_t i = 0; i < freeAt.size(); ++i) {
@@ -183,27 +183,28 @@ Replica::dispatch(double now_us, bool drain)
             module->sim.totalUs
                 * deviceSpec.streamContentionFactor(busy)
             + deviceSpec.streamDispatchUs + stall_us;
-        const double done = now_us + service_us;
-        freeAt[static_cast<size_t>(stream)] = done;
+        Dispatch flight;
+        flight.module = module;
+        flight.serviceUs = service_us;
+        flight.doneUs = now_us + service_us;
+        flight.requestIds.reserve(batch.size());
+        for (const serve::Request &request : batch)
+            flight.requestIds.push_back(request.id);
+        freeAt[static_cast<size_t>(stream)] = flight.doneUs;
         busyTotalUs += service_us;
         ++batches;
         served += best_batch;
         ++dispatched;
-        InFlight flight;
-        flight.doneUs = done;
-        flight.requestIds.reserve(batch.size());
-        for (const serve::Request &request : batch)
-            flight.requestIds.push_back(request.id);
         inFlight.push_back(std::move(flight));
     }
-    return dispatched;
+    return std::span<const Dispatch>(inFlight).last(dispatched);
 }
 
 std::vector<Completion>
 Replica::collectCompletions(double now_us)
 {
     std::vector<Completion> completions;
-    std::vector<InFlight> due;
+    std::vector<Dispatch> due;
     for (size_t i = 0; i < inFlight.size();) {
         if (inFlight[i].doneUs <= now_us) {
             due.push_back(std::move(inFlight[i]));
@@ -214,10 +215,10 @@ Replica::collectCompletions(double now_us)
         }
     }
     std::stable_sort(due.begin(), due.end(),
-                     [](const InFlight &a, const InFlight &b) {
+                     [](const Dispatch &a, const Dispatch &b) {
                          return a.doneUs < b.doneUs;
                      });
-    for (const InFlight &flight : due) {
+    for (const Dispatch &flight : due) {
         for (int id : flight.requestIds)
             completions.push_back(Completion{id, flight.doneUs});
     }
@@ -255,10 +256,10 @@ Replica::fail(double now_us)
         }
     }
     std::stable_sort(inFlight.begin(), inFlight.end(),
-                     [](const InFlight &a, const InFlight &b) {
+                     [](const Dispatch &a, const Dispatch &b) {
                          return a.doneUs < b.doneUs;
                      });
-    for (const InFlight &flight : inFlight) {
+    for (const Dispatch &flight : inFlight) {
         // Credit only the busy time actually spent before the crash.
         if (flight.doneUs > now_us)
             busyTotalUs -= flight.doneUs - now_us;

@@ -2,12 +2,19 @@
 
 /**
  * @file
- * One fleet replica: the souffle-serve device loop (bucketed dynamic
- * batching over N simulated streams with contention, see
- * src/serve/server.h) wrapped as an event-driven node the cluster
- * simulator can route to, fail, recover and autoscale.
+ * One replica: the one device loop of the serving simulators
+ * (bucketed dynamic batching over N simulated streams with
+ * contention), as an event-driven node. `serve::runServeSim`
+ * (src/serve/server.h) drives a single replica; the cluster simulator
+ * routes to many, fails, recovers and autoscales them.
  *
- * Differences from the single-device loop, all fleet-level concerns:
+ * Device loop: a dispatch takes the lowest-numbered free stream and
+ * charges the bucket module's `SimResult::totalUs`, scaled by the
+ * device's stream-contention factor for the streams busy with it,
+ * plus the per-dispatch host overhead `streamDispatchUs`. A model
+ * without a batched builder is batched in bucket {1} only.
+ *
+ * Fleet-level concerns on top:
  *
  *  - *multi-model*: a replica holds one `serve::DynamicBatcher` per
  *    model it serves (batches never mix models — each (model, bucket)
@@ -28,6 +35,7 @@
  */
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,6 +56,18 @@ struct Completion
 {
     int requestId = 0;
     double doneUs = 0.0;
+};
+
+/** One batch put on a stream by `Replica::dispatch`. */
+struct Dispatch
+{
+    /** The (model, bucket) module the batch runs. */
+    const serve::CachedModule *module = nullptr;
+    /** Stream time charged, compile stall included. */
+    double serviceUs = 0.0;
+    double doneUs = 0.0;
+    /** Member requests, oldest first. */
+    std::vector<int> requestIds;
 };
 
 class Replica
@@ -98,9 +118,10 @@ class Replica
      * Dispatch every ready batch onto free streams at @p now_us
      * (acquiring modules — and compile stalls — from the fleet
      * service). @p drain forces partial batches out. Returns the
-     * number of batches dispatched.
+     * batches dispatched, in dispatch order; the view is valid until
+     * the replica next changes.
      */
-    int dispatch(double now_us, bool drain);
+    std::span<const Dispatch> dispatch(double now_us, bool drain);
 
     /** Pop completions with doneUs <= @p now_us, oldest first. */
     std::vector<Completion> collectCompletions(double now_us);
@@ -177,14 +198,8 @@ class Replica
 
     /** Per-stream next-free time. */
     std::vector<double> freeAt;
-    /** In-flight batch: completion time + member request ids
-     *  (ascending doneUs; ties keep dispatch order). */
-    struct InFlight
-    {
-        double doneUs = 0.0;
-        std::vector<int> requestIds;
-    };
-    std::vector<InFlight> inFlight;
+    /** In-flight batches, in dispatch order. */
+    std::vector<Dispatch> inFlight;
 
     double busyTotalUs = 0.0;
     int batches = 0;

@@ -3,33 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 
 #include "common/file_io.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/logging.h"
 
 namespace souffle::cluster {
 
 namespace {
-
-/** splitmix64: well-mixed 64-bit stream from a counter (the same
- *  construction the serving workload generator uses). */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-/** Uniform double in (0, 1]; never 0 so log() is safe. */
-double
-uniform01(uint64_t seed, uint64_t index)
-{
-    const uint64_t bits = mix64(seed ^ mix64(index)) >> 11;
-    return (static_cast<double>(bits) + 1.0) / 9007199254740993.0;
-}
 
 /** Domain separator for the burst-window coin flips: burst decisions
  *  must not correlate with the arrival-gap draws at the same index. */
@@ -51,6 +35,45 @@ inBurst(const TrafficSpec &spec, double t_us)
         return false;
     return uniform01(spec.seed ^ kBurstStream, window)
            <= spec.burstProbability;
+}
+
+/** The `trace` array: each request needs `t_us` and `tenant`. */
+std::vector<FleetRequest>
+readRequests(JsonReader &reader)
+{
+    std::vector<FleetRequest> trace;
+    reader.beginArray();
+    while (reader.hasNext()) {
+        std::optional<double> arrival_us;
+        std::optional<int64_t> tenant;
+        reader.beginObject();
+        while (reader.hasNext()) {
+            const std::string name = reader.nextKey();
+            if (name == "t_us")
+                arrival_us = reader.readDouble();
+            else if (name == "tenant")
+                tenant = reader.readInt();
+            else
+                reader.skipValue();
+        }
+        reader.endObject();
+        SOUFFLE_REQUIRE(arrival_us && tenant,
+                        "trace request needs 't_us' and 'tenant'");
+        SOUFFLE_REQUIRE(*arrival_us >= 0.0,
+                        "trace arrival must be >= 0, got "
+                            << *arrival_us);
+        SOUFFLE_REQUIRE(*tenant >= 0
+                            && *tenant
+                                   <= std::numeric_limits<int>::max(),
+                        "trace tenant must be a non-negative int, got "
+                            << *tenant);
+        FleetRequest request;
+        request.arrivalUs = *arrival_us;
+        request.tenant = static_cast<int>(*tenant);
+        trace.push_back(request);
+    }
+    reader.endArray();
+    return trace;
 }
 
 } // namespace
@@ -161,32 +184,33 @@ traceToJson(const std::vector<FleetRequest> &trace)
 std::vector<FleetRequest>
 traceFromJson(const std::string &text)
 {
-    const JsonValue doc = parseJson(text);
-    SOUFFLE_REQUIRE(doc.isObject()
-                        && doc.at("kind").asString()
-                               == "souffle-fleet-trace",
-                    "not a souffle-fleet-trace document");
-    std::vector<FleetRequest> trace;
-    for (const JsonValue &item : doc.at("trace").items()) {
-        FleetRequest request;
-        request.arrivalUs = item.at("t_us").asNumber();
-        request.tenant =
-            static_cast<int>(item.at("tenant").asInt());
-        SOUFFLE_REQUIRE(request.arrivalUs >= 0.0,
-                        "trace arrival must be >= 0, got "
-                            << request.arrivalUs);
-        SOUFFLE_REQUIRE(request.tenant >= 0,
-                        "trace tenant must be >= 0, got "
-                            << request.tenant);
-        trace.push_back(request);
+    // Members may come in any order and unknown ones are skipped, so
+    // external request logs need not follow traceToJson's layout.
+    JsonReader reader(text);
+    std::optional<std::string> kind;
+    std::optional<std::vector<FleetRequest>> trace;
+    reader.beginObject();
+    while (reader.hasNext()) {
+        const std::string name = reader.nextKey();
+        if (name == "kind")
+            kind = reader.readString();
+        else if (name == "trace")
+            trace = readRequests(reader);
+        else
+            reader.skipValue();
     }
-    std::stable_sort(trace.begin(), trace.end(),
+    reader.endObject();
+    reader.finish();
+    SOUFFLE_REQUIRE(kind == "souffle-fleet-trace",
+                    "not a souffle-fleet-trace document");
+    SOUFFLE_REQUIRE(trace.has_value(), "fleet trace has no 'trace' member");
+    std::stable_sort(trace->begin(), trace->end(),
                      [](const FleetRequest &a, const FleetRequest &b) {
                          return a.arrivalUs < b.arrivalUs;
                      });
-    for (size_t i = 0; i < trace.size(); ++i)
-        trace[i].id = static_cast<int>(i);
-    return trace;
+    for (size_t i = 0; i < trace->size(); ++i)
+        (*trace)[i].id = static_cast<int>(i);
+    return std::move(*trace);
 }
 
 void

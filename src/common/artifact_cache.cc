@@ -192,20 +192,28 @@ ArtifactCache::loadFromDisk(const ArtifactKey &key)
     if (!text)
         return std::nullopt;
     try {
-        JsonValue doc = parseJson(*text);
         // Verify the full key, not just the hashed file name: a hash
         // collision or a foreign file must read as a miss, never as a
-        // wrong artifact.
-        if (doc.at("kind").asString() != key.kind
-            || doc.at("content").asString() != key.content.toHex()
-            || doc.at("device").asString() != key.device.toHex()
-            || doc.at("salt").asString() != key.salt) {
+        // wrong artifact. Members come in storeToDisk's order.
+        JsonReader reader(*text);
+        const auto member = [&reader](std::string_view name) {
+            reader.key(name);
+            return reader.readString();
+        };
+        reader.beginObject();
+        if (member("kind") != key.kind
+            || member("content") != key.content.toHex()
+            || member("device") != key.device.toHex()
+            || member("salt") != key.salt) {
             SOUFFLE_WARN("cache file '" << path
                                         << "' holds a different key; "
                                            "treating as a miss");
             return std::nullopt;
         }
-        return doc.at("payload").asString();
+        std::string payload = member("payload");
+        reader.endObject();
+        reader.finish();
+        return payload;
     } catch (const FatalError &err) {
         SOUFFLE_WARN("corrupt cache file '" << path << "' ("
                                             << err.what()

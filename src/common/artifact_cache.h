@@ -26,7 +26,7 @@
  * optional on-disk directory of one JSON file per artifact (survives
  * process restarts; hits are promoted into memory). Payloads are
  * opaque strings — producers serialize/deserialize their own artifact
- * format, typically as JSON via JsonWriter/parseJson with
+ * format, typically as JSON via JsonWriter/JsonReader with
  * `setDoublePrecision(17)` so doubles round-trip exactly.
  *
  * ## Thread safety

@@ -15,7 +15,8 @@ constexpr uint64_t kFnvOffsetA = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvOffsetB = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
-/** splitmix64 finalizer: full-avalanche 64-bit mix. */
+} // namespace
+
 uint64_t
 mix64(uint64_t x)
 {
@@ -25,7 +26,12 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-} // namespace
+double
+uniform01(uint64_t seed, uint64_t index)
+{
+    const uint64_t bits = mix64(seed ^ mix64(index)) >> 11;
+    return (static_cast<double>(bits) + 1.0) / 9007199254740993.0;
+}
 
 std::string
 Fingerprint::toHex() const

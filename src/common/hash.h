@@ -23,6 +23,17 @@
 
 namespace souffle {
 
+/** splitmix64 finalizer: full-avalanche 64-bit mix. */
+uint64_t mix64(uint64_t x);
+
+/**
+ * Draw @p index of the counter PRNG stream @p seed: a uniform double
+ * in (0, 1], never 0 so log() is safe. Every seeded generator (serving
+ * workloads, fleet traffic, fault schedules) draws from it, so one
+ * seed reproduces bit for bit without `<random>`.
+ */
+double uniform01(uint64_t seed, uint64_t index);
+
 /** A 128-bit content hash. All-zero means "unset". */
 struct Fingerprint
 {

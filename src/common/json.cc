@@ -548,127 +548,4 @@ JsonReader::parseHex4()
     return code;
 }
 
-// --------------------------------------------------------------------
-// Document tree.
-
-bool
-JsonValue::asBool() const
-{
-    SOUFFLE_REQUIRE(isBool(), "JSON value is not a bool");
-    return boolValue;
-}
-
-double
-JsonValue::asNumber() const
-{
-    SOUFFLE_REQUIRE(isNumber(), "JSON value is not a number");
-    return numberValue;
-}
-
-int64_t
-JsonValue::asInt() const
-{
-    const double number = asNumber();
-    SOUFFLE_REQUIRE(isExactInt(number), "JSON number "
-                                            << number
-                                            << " is not an exact int64");
-    return static_cast<int64_t>(number);
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    SOUFFLE_REQUIRE(isString(), "JSON value is not a string");
-    return stringValue;
-}
-
-const std::vector<JsonValue> &
-JsonValue::items() const
-{
-    SOUFFLE_REQUIRE(isArray(), "JSON value is not an array");
-    return arrayItems;
-}
-
-const std::vector<std::pair<std::string, JsonValue>> &
-JsonValue::members() const
-{
-    SOUFFLE_REQUIRE(isObject(), "JSON value is not an object");
-    return objectMembers;
-}
-
-const JsonValue *
-JsonValue::find(std::string_view key) const
-{
-    if (!isObject())
-        return nullptr;
-    for (const auto &[name, member] : objectMembers)
-        if (name == key)
-            return &member;
-    return nullptr;
-}
-
-const JsonValue &
-JsonValue::at(std::string_view key) const
-{
-    const JsonValue *member = find(key);
-    SOUFFLE_REQUIRE(member != nullptr,
-                    "JSON object has no member '" << key << "'");
-    return *member;
-}
-
-namespace detail {
-
-/** Builds a `JsonValue` tree from a `JsonReader`. */
-class JsonTreeBuilder
-{
-  public:
-    static JsonValue
-    build(JsonReader &reader)
-    {
-        JsonValue value;
-        value.valueKind = reader.peekKind();
-        switch (value.valueKind) {
-          case JsonValue::Kind::kObject:
-            reader.beginObject();
-            while (reader.hasNext()) {
-                std::string name = reader.nextKey();
-                value.objectMembers.emplace_back(std::move(name),
-                                                 build(reader));
-            }
-            reader.endObject();
-            break;
-          case JsonValue::Kind::kArray:
-            reader.beginArray();
-            while (reader.hasNext())
-                value.arrayItems.push_back(build(reader));
-            reader.endArray();
-            break;
-          case JsonValue::Kind::kString:
-            value.stringValue = reader.readString();
-            break;
-          case JsonValue::Kind::kBool:
-            value.boolValue = reader.readBool();
-            break;
-          case JsonValue::Kind::kNull:
-            reader.readNull();
-            break;
-          case JsonValue::Kind::kNumber:
-            value.numberValue = reader.readDouble();
-            break;
-        }
-        return value;
-    }
-};
-
-} // namespace detail
-
-JsonValue
-parseJson(std::string_view text)
-{
-    JsonReader reader(text);
-    JsonValue doc = detail::JsonTreeBuilder::build(reader);
-    reader.finish();
-    return doc;
-}
-
 } // namespace souffle

@@ -17,20 +17,17 @@
  *
  * `JsonReader` is the matching pull reader: a cursor over the text
  * that callers drive token by token (begin/end containers, expected
- * keys, typed scalars). The compiled-artifact deserializers use it to
- * build IR in one pass with no intermediate tree. It owns the JSON
- * grammar, escape handling and number rules.
- *
- * `JsonValue`/`parseJson` builds a document tree on top of
- * `JsonReader`, for readers that look members up by name (the on-disk
- * artifact cache, fleet traces). Objects preserve member order.
+ * keys, typed scalars). It is the only JSON parser: the compiled-
+ * artifact deserializers and the on-disk artifact cache read in writer
+ * order, and fleet traces take members in any order through
+ * `nextKey`/`skipValue`. Every reader builds its result in one pass
+ * with no intermediate tree. It owns the JSON grammar, escape handling
+ * and number rules.
  */
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace souffle {
@@ -296,57 +293,5 @@ class JsonReader
     /** The top-level value has begun. */
     bool rootSeen = false;
 };
-
-namespace detail {
-class JsonTreeBuilder;
-} // namespace detail
-
-/** One parsed JSON value (see `parseJson`). */
-class JsonValue
-{
-  public:
-    using Kind = JsonReader::Kind;
-
-    JsonValue() = default;
-
-    Kind kind() const { return valueKind; }
-    bool isNull() const { return valueKind == Kind::kNull; }
-    bool isBool() const { return valueKind == Kind::kBool; }
-    bool isNumber() const { return valueKind == Kind::kNumber; }
-    bool isString() const { return valueKind == Kind::kString; }
-    bool isArray() const { return valueKind == Kind::kArray; }
-    bool isObject() const { return valueKind == Kind::kObject; }
-
-    /** Typed accessors; throw FatalError on kind mismatch. */
-    bool asBool() const;
-    double asNumber() const;
-    /** asNumber, checked to be integral and in int64 range. */
-    int64_t asInt() const;
-    const std::string &asString() const;
-    const std::vector<JsonValue> &items() const;
-    const std::vector<std::pair<std::string, JsonValue>> &members() const;
-
-    /** Object member lookup; nullptr when absent (or not an object). */
-    const JsonValue *find(std::string_view key) const;
-    /** Object member lookup; throws FatalError when absent. */
-    const JsonValue &at(std::string_view key) const;
-
-  private:
-    friend class detail::JsonTreeBuilder;
-
-    Kind valueKind = Kind::kNull;
-    bool boolValue = false;
-    double numberValue = 0.0;
-    std::string stringValue;
-    std::vector<JsonValue> arrayItems;
-    std::vector<std::pair<std::string, JsonValue>> objectMembers;
-};
-
-/**
- * Parse one JSON document (with arbitrary surrounding whitespace).
- * Throws FatalError with an offset-carrying message on malformed
- * input, including trailing garbage after the document.
- */
-JsonValue parseJson(std::string_view text);
 
 } // namespace souffle

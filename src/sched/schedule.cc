@@ -205,8 +205,8 @@ AutoScheduler::signatureOf(const TensorExpr &te) const
     sig += std::to_string(te.body->numReads());
     // The search also reads the combiner (tensor-core eligibility),
     // the weighted FLOPs and the memory footprint. Keying on them
-    // keeps the memo a function of every search input, so which of
-    // two racing TEs fills a slot first never shows in the result.
+    // keeps the memo a function of every search input, so which TE of
+    // a signature is searched first never shows in the result.
     sig += "|c";
     sig += std::to_string(static_cast<int>(te.combiner));
     sig += "|f";
@@ -216,41 +216,49 @@ AutoScheduler::signatureOf(const TensorExpr &te) const
     return sig;
 }
 
-Fingerprint
-AutoScheduler::fingerprintFor(int te_id, const std::string &signature)
-{
-    MemoShard &shard = shardFor(signature);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.fingerprints.find(signature);
-        if (it != shard.fingerprints.end())
-            return it->second;
-    }
-    // Hash outside the lock; a racing duplicate computes the same
-    // fingerprint, so emplace keeps whichever landed first.
-    const Fingerprint fp = teFingerprint(prog, te_id);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.fingerprints.emplace(signature, fp);
-    return fp;
-}
-
 Schedule
 AutoScheduler::schedule(int te_id)
 {
     const TensorExpr &te = prog.te(te_id);
     const std::string sig = signatureOf(te);
     MemoShard &shard = shardFor(sig);
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(shard.mutex);
+    for (;;) {
         auto it = shard.schedules.find(sig);
-        if (it != shard.schedules.end()) {
+        if (it == shard.schedules.end())
+            break; // no slot: this worker searches the signature
+        if (it->second) {
             hits.fetch_add(1, std::memory_order_relaxed);
-            Schedule sched = it->second;
+            Schedule sched = *it->second;
             sched.teId = te_id;
             return sched;
         }
+        // Another worker is searching this signature (single-flight);
+        // wait for its slot to fill, or to be erased if it threw. The
+        // search never enters parallelFor, so it cannot wait on us.
+        shard.ready.wait(lock);
     }
+    shard.schedules.emplace(sig, std::nullopt);
+    lock.unlock();
 
+    Schedule sched;
+    try {
+        sched = search(te_id);
+    } catch (...) {
+        lock.lock();
+        shard.schedules.erase(sig);
+        shard.ready.notify_all();
+        throw;
+    }
+    lock.lock();
+    shard.schedules[sig] = sched;
+    shard.ready.notify_all();
+    return sched;
+}
+
+Schedule
+AutoScheduler::search(int te_id)
+{
     // Artifact cache, consulted only on intra-program memo misses.
     // The key covers every input of the search below — the TE's
     // structure, the device, and the mode/options salt — so a hit can
@@ -258,24 +266,19 @@ AutoScheduler::schedule(int te_id)
     ArtifactKey key;
     if (cache != nullptr) {
         key.kind = "schedule";
-        key.content = fingerprintFor(te_id, sig);
+        key.content = teFingerprint(prog, te_id);
         key.device = deviceFp;
         key.salt = salt;
         if (std::optional<std::string> payload = cache->get(key)) {
             artifactHits.fetch_add(1, std::memory_order_relaxed);
             Schedule sched = deserializeSchedule(*payload);
             sched.teId = te_id;
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.schedules.emplace(sig, sched);
             return sched;
         }
         artifactMisses.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // The search runs outside the memo lock: two workers racing on
-    // one signature both search and compute the identical schedule
-    // (the search is deterministic), so the only observable effect of
-    // the race is a higher candidatesEvaluated count.
+    const TensorExpr &te = prog.te(te_id);
     const TeInfo &info = analysis.teInfo(te_id);
     Schedule sched;
     if (info.computeIntensive && te.hasReduce())
@@ -285,10 +288,6 @@ AutoScheduler::schedule(int te_id)
     else
         sched = scheduleElementwise(te, info);
     sched.teId = te_id;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.schedules.emplace(sig, sched);
-    }
     if (cache != nullptr)
         cache->put(key, serializeSchedule(sched));
     return sched;

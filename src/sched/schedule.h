@@ -13,8 +13,10 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -114,19 +116,20 @@ enum class SchedulerMode : uint8_t
  *
  * Thread safety: `schedule` may be called concurrently —
  * `scheduleAll` fans the per-TE searches out over the global
- * ThreadPool. The memo (and the per-signature fingerprint cache) is
- * sharded by signature hash under one mutex per shard. Two workers
- * racing on the same signature may both run the search; both compute
- * the identical schedule (the search is a pure function of the TE,
- * device, and mode), so artifacts are byte-identical at every thread
- * count while `candidatesEvaluated`/`memoHits` may differ by such
- * races — the one documented determinism exemption.
+ * ThreadPool. The memo is sharded by signature hash under one mutex
+ * per shard and is single-flight per signature: the first worker to
+ * miss a signature consults the artifact cache and searches, and any
+ * worker that asks for the same signature meanwhile waits for that
+ * result and counts a memo hit. So each signature is searched (or
+ * loaded) once per scheduler, and a same-compile race never shows up
+ * as an artifact-cache hit. Which TE of a signature goes first still
+ * decides the fingerprint its schedule is cached under, so hits
+ * against a cache shared across compiles may vary with thread count.
  *
  * Hashing is hoisted off the hot path: the device fingerprint is
  * computed once per scheduler (or taken precomputed from the caller),
- * and each distinct TE structure is fingerprinted at most once per
- * scheduler via the per-signature fingerprint cache, so a warm
- * `scheduleAll` does no redundant hashing.
+ * and a TE is fingerprinted only when its signature misses the memo,
+ * so a warm `scheduleAll` does no redundant hashing.
  */
 class AutoScheduler
 {
@@ -148,8 +151,7 @@ class AutoScheduler
 
     const DeviceSpec &device() const { return deviceSpec; }
 
-    /** Number of cost-model evaluations performed (for stats/tests).
-     *  May vary across thread counts by benign memo races. */
+    /** Number of cost-model evaluations performed (for stats/tests). */
     int64_t candidatesEvaluated() const { return evaluated; }
     /** Number of memoization hits (for stats/tests). */
     int64_t memoHits() const { return hits; }
@@ -164,10 +166,11 @@ class AutoScheduler
     struct MemoShard
     {
         std::mutex mutex;
-        std::unordered_map<std::string, Schedule> schedules;
-        /** Structural fingerprint per signature, computed at most
-         *  once per scheduler (hashing hoist for warm compiles). */
-        std::unordered_map<std::string, Fingerprint> fingerprints;
+        /** Signalled whenever a slot fills or is erased. */
+        std::condition_variable ready;
+        /** Signature -> schedule; empty while its search runs. */
+        std::unordered_map<std::string, std::optional<Schedule>>
+            schedules;
     };
 
     MemoShard &shardFor(const std::string &signature);
@@ -176,9 +179,8 @@ class AutoScheduler
     Schedule scheduleElementwise(const TensorExpr &te, const TeInfo &info);
     Schedule scheduleReduction(const TensorExpr &te, const TeInfo &info);
     std::string signatureOf(const TensorExpr &te) const;
-    /** Fingerprint of @p te_id, served from the signature-keyed cache
-     *  when this structure was hashed before. */
-    Fingerprint fingerprintFor(int te_id, const std::string &signature);
+    /** Artifact-cache lookup, else the tile search (no locks held). */
+    Schedule search(int te_id);
 
     const TeProgram &prog;
     const GlobalAnalysis &analysis;

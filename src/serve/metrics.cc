@@ -33,25 +33,6 @@ ServingReport::sampleQueueDepth(double time_us, int depth)
 }
 
 double
-ServingReport::latencyPercentileUs(double percentile) const
-{
-    std::vector<double> sorted = latencyUs;
-    std::sort(sorted.begin(), sorted.end());
-    return percentileNearestRank(sorted, percentile);
-}
-
-double
-ServingReport::meanLatencyUs() const
-{
-    if (latencyUs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : latencyUs)
-        sum += v;
-    return sum / static_cast<double>(latencyUs.size());
-}
-
-double
 ServingReport::throughputRps() const
 {
     if (makespanUs <= 0.0)
@@ -88,6 +69,7 @@ ServingReport::maxQueueDepthSeen() const
 std::string
 ServingReport::renderText() const
 {
+    const LatencySummary latency = latencySummary();
     std::ostringstream os;
     os << "serve-sim: " << model << " V" << level << ", "
        << arrivalRatePerSec << " req/s for "
@@ -98,9 +80,10 @@ ServingReport::renderText() const
     os << "  requests: " << completed << " completed, " << shedCount
        << " shed, " << batchesDispatched
        << " batches (mean batch " << meanBatchSize() << ")\n";
-    os << "  latency: p50 " << timeToString(p50Us()) << ", p95 "
-       << timeToString(p95Us()) << ", p99 " << timeToString(p99Us())
-       << ", mean " << timeToString(meanLatencyUs()) << "\n";
+    os << "  latency: p50 " << timeToString(latency.p50Us) << ", p95 "
+       << timeToString(latency.p95Us) << ", p99 "
+       << timeToString(latency.p99Us)
+       << ", mean " << timeToString(latency.meanUs) << "\n";
     os << "  throughput: " << throughputRps()
        << " req/s over makespan " << timeToString(makespanUs)
        << ", stream utilization " << streamUtilization() * 100.0
@@ -127,6 +110,7 @@ ServingReport::renderText() const
 std::string
 ServingReport::renderJson() const
 {
+    const LatencySummary latency = latencySummary();
     JsonWriter json;
     json.beginObject()
         .newline()
@@ -158,13 +142,13 @@ ServingReport::renderJson() const
         .newline()
         .field("mean_batch", meanBatchSize())
         .newline()
-        .field("latency_p50_us", p50Us())
+        .field("latency_p50_us", latency.p50Us)
         .newline()
-        .field("latency_p95_us", p95Us())
+        .field("latency_p95_us", latency.p95Us)
         .newline()
-        .field("latency_p99_us", p99Us())
+        .field("latency_p99_us", latency.p99Us)
         .newline()
-        .field("latency_mean_us", meanLatencyUs())
+        .field("latency_mean_us", latency.meanUs)
         .newline()
         .field("throughput_rps", throughputRps())
         .newline()

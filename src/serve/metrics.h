@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "gpu/sim.h"
 
 namespace souffle::serve {
@@ -70,12 +71,15 @@ class ServingReport
     void sampleQueueDepth(double time_us, int depth);
 
     // ----- derived -------------------------------------------------------
-    /** Nearest-rank percentile of request latency; 0 when empty. */
-    double latencyPercentileUs(double percentile) const;
-    double p50Us() const { return latencyPercentileUs(50.0); }
-    double p95Us() const { return latencyPercentileUs(95.0); }
-    double p99Us() const { return latencyPercentileUs(99.0); }
-    double meanLatencyUs() const;
+    /** Nearest-rank latency percentiles (common/stats); each call
+     *  sorts the samples once. */
+    LatencySummary latencySummary() const
+    {
+        return summarizeLatencies(latencyUs);
+    }
+    double p50Us() const { return latencySummary().p50Us; }
+    double p95Us() const { return latencySummary().p95Us; }
+    double p99Us() const { return latencySummary().p99Us; }
     /** Completed requests per second of simulated makespan. */
     double throughputRps() const;
     /** Average dispatched batch size. */
@@ -91,7 +95,7 @@ class ServingReport
     std::string renderJson() const;
 
   private:
-    /** Per-request latency samples (us), in completion order. */
+    /** Per-request latency samples (us), in dispatch order. */
     std::vector<double> latencyUs;
 };
 

@@ -115,6 +115,9 @@ class ModuleCache
     ArtifactCache &artifactCache() { return *opts.artifactCache; }
 
     const SouffleOptions &options() const { return opts; }
+    bool tinyModels() const { return tiny; }
+    /** Compiled-artifact store root (empty: always compile). */
+    const std::string &artifactStore() const { return artifactDir; }
 
   private:
     using Key = std::pair<std::string, int>;

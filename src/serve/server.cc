@@ -3,33 +3,35 @@
 #include <algorithm>
 #include <limits>
 
+#include "cluster/replica.h"
 #include "common/logging.h"
 
 namespace souffle::serve {
 
-namespace {
-
-constexpr double kNever = std::numeric_limits<double>::infinity();
-
-} // namespace
-
 ServingReport
 runServeSim(const ServeConfig &config, ModuleCache &cache)
 {
-    SOUFFLE_REQUIRE(config.numStreams >= 1,
-                    "serving needs >= 1 stream, got "
-                        << config.numStreams);
     SOUFFLE_REQUIRE(
         cache.options().level == config.compiler.level,
         "module cache level does not match the serve config");
 
     const std::vector<Request> requests =
         generateWorkload(config.workload);
-    DynamicBatcher batcher(config.batcher);
-    const DeviceSpec &device = config.compiler.device;
+    // Normalized bucket list (and a validated config) for the echo.
+    const BatcherConfig batcher = DynamicBatcher(config.batcher).config();
+
+    // One replica over the caller's cache, on its exact device. No
+    // compile stall is simulated: compiles are reported separately,
+    // as a production server warms its cache before taking traffic.
+    cluster::FleetCompileService service(cache);
+    cluster::Replica replica(
+        0, cluster::ReplicaSpec{cache.options().device.name,
+                                config.numStreams},
+        batcher, batcher.maxQueueDepth, /*cold_compile_us=*/0.0,
+        /*warm_load_us=*/0.0, service);
 
     if (config.prewarm)
-        cache.warmup({config.model}, batcher.config().buckets);
+        cache.warmup({config.model}, batcher.buckets);
 
     ServingReport report;
     report.model = config.model;
@@ -40,96 +42,53 @@ runServeSim(const ServeConfig &config, ModuleCache &cache)
             : 0.0;
     report.durationUs = config.workload.durationUs;
     report.numStreams = config.numStreams;
-    report.buckets = batcher.config().buckets;
-    report.maxQueueDelayUs = batcher.config().maxQueueDelayUs;
-    report.maxQueueDepth = batcher.config().maxQueueDepth;
+    report.buckets = batcher.buckets;
+    report.maxQueueDelayUs = batcher.maxQueueDelayUs;
+    report.maxQueueDepth = batcher.maxQueueDepth;
     const int cache_hits0 = cache.hits();
     const int cache_misses0 = cache.misses();
     const double compile_ms0 = cache.compileMsTotal();
     const int64_t sched_hits0 = cache.scheduleCacheHits();
     const int64_t sched_misses0 = cache.scheduleCacheMisses();
 
-    // One execution lane per stream: the time it frees up.
-    std::vector<double> free_at(config.numStreams, 0.0);
-    auto free_stream = [&](double t) {
-        for (size_t i = 0; i < free_at.size(); ++i)
-            if (free_at[i] <= t)
-                return static_cast<int>(i);
-        return -1;
-    };
-    auto busy_streams = [&](double t) {
-        int busy = 0;
-        for (double d : free_at)
-            if (d > t)
-                ++busy;
-        return busy;
-    };
-
     size_t next = 0; // next undelivered arrival
     double now = 0.0;
     while (true) {
-        // 1. Admit every arrival due by now (shedding at the bound).
         while (next < requests.size()
                && requests[next].arrivalUs <= now) {
-            batcher.enqueue(requests[next], now);
+            replica.admit(requests[next].id, config.model,
+                          /*priority=*/0, now);
             ++next;
         }
-
-        // 2. Dispatch ready batches onto free streams. Later batches
-        //    admitted at the same instant see more busy neighbours
-        //    and absorb a higher contention factor.
-        while (true) {
-            const int stream = free_stream(now);
-            if (stream < 0)
-                break;
-            const bool drain = next >= requests.size();
-            const int batch_size = batcher.readyBatch(now, drain);
-            if (batch_size == 0)
-                break;
-            const std::vector<Request> batch =
-                batcher.pop(batch_size);
-            const CachedModule &mod =
-                cache.get(config.model, batch_size);
-            const int busy = busy_streams(now) + 1;
-            const double service_us =
-                mod.sim.totalUs * device.streamContentionFactor(busy)
-                + device.streamDispatchUs;
-            const double done = now + service_us;
-            free_at[stream] = done;
-            for (const Request &request : batch)
-                report.recordLatency(done - request.arrivalUs);
-            report.recordBatch(batch_size, service_us,
-                               mod.sim.counters);
+        const bool drain = next >= requests.size();
+        for (const cluster::Dispatch &batch :
+             replica.dispatch(now, drain)) {
+            for (int id : batch.requestIds)
+                report.recordLatency(
+                    batch.doneUs
+                    - requests[static_cast<size_t>(id)].arrivalUs);
+            report.recordBatch(static_cast<int>(batch.requestIds.size()),
+                               batch.serviceUs,
+                               batch.module->sim.counters);
         }
-        report.sampleQueueDepth(now, batcher.depth());
+        report.sampleQueueDepth(now, replica.queueDepth());
+        // Retire finished batches; their latencies are recorded.
+        replica.collectCompletions(now);
 
-        // 3. Advance to the next event strictly after `now`: an
-        //    arrival, a stream completion, or a forced-flush
-        //    deadline (only when still in the future — an overdue
-        //    deadline with every stream busy waits for a stream).
-        double next_time = kNever;
+        double next_time = replica.nextEventUs(now);
         if (next < requests.size())
-            next_time =
-                std::min(next_time, requests[next].arrivalUs);
-        for (double d : free_at)
-            if (d > now)
-                next_time = std::min(next_time, d);
-        const double deadline = batcher.nextDeadlineUs();
-        if (deadline > now)
-            next_time = std::min(next_time, deadline);
-        if (next_time == kNever)
-            break; // drained: no arrivals, empty queue
-        now = std::max(now, next_time);
+            next_time = std::min(next_time, requests[next].arrivalUs);
+        if (next_time == std::numeric_limits<double>::infinity())
+            break; // drained: no arrivals, empty queue, idle streams
+        now = next_time;
     }
 
-    double makespan = config.workload.traceArrivalsUs.empty()
-                          ? config.workload.durationUs
-                          : 0.0;
-    makespan = std::max(makespan, now);
-    for (double d : free_at)
-        makespan = std::max(makespan, d);
-    report.makespanUs = makespan;
-    report.shedCount = batcher.shedCount();
+    report.makespanUs = std::max(
+        config.workload.traceArrivalsUs.empty()
+            ? config.workload.durationUs
+            : 0.0,
+        now);
+    report.shedCount = replica.shedCount();
     report.cacheHits = cache.hits() - cache_hits0;
     report.cacheMisses = cache.misses() - cache_misses0;
     report.compileMsTotal = cache.compileMsTotal() - compile_ms0;

@@ -2,14 +2,15 @@
 
 /**
  * @file
- * The serving simulator: a discrete-event loop that admits batched
- * requests onto N simulated CUDA streams over the analytic A100
- * device model.
+ * The serving simulator: one `cluster::Replica` (src/cluster/replica.h)
+ * driven by a request stream, admitting batched requests onto N
+ * simulated CUDA streams over the analytic A100 device model. The
+ * replica is the one device loop; this driver only feeds it.
  *
  * Event model (three event sources, always advancing simulated time):
  *
- *  1. request arrival — enqueue into the DynamicBatcher (or shed when
- *     the queue is at its admission bound);
+ *  1. request arrival — admit into the replica (or shed when its
+ *     queue is at the admission bound);
  *  2. batch deadline — the oldest queued request has waited
  *     `maxQueueDelayUs`, forcing a partial batch out (only actionable
  *     while a stream is free);
@@ -20,9 +21,10 @@
  * `SimResult::totalUs` (from the ModuleCache), scaled by the device's
  * stream-contention factor for the number of concurrently busy
  * streams, plus the per-dispatch host overhead `streamDispatchUs`.
- * The simulator does NOT charge: host pre/post-processing, PCIe
- * transfer, or compile time (compiles are reported separately — a
- * production server warms the cache before taking traffic).
+ * Models without a batched builder are served in bucket {1}. The
+ * simulator does NOT charge: host pre/post-processing, PCIe transfer,
+ * or compile time (compiles are reported separately — a production
+ * server warms the cache before taking traffic).
  */
 
 #include <string>
@@ -38,7 +40,8 @@ namespace souffle::serve {
 /** Full configuration of one serving simulation. */
 struct ServeConfig
 {
-    /** Zoo model name (must have batched variants for buckets > 1). */
+    /** Zoo model name (served in bucket {1} when it has no batched
+     *  builder, whatever `batcher.buckets` says). */
     std::string model = "BERT";
     /** Use the test-sized zoo variant. */
     bool tiny = false;
@@ -74,8 +77,9 @@ struct ServeConfig
 ServingReport runServeSim(const ServeConfig &config);
 
 /**
- * Run against a caller-owned @p cache (whose options must match
- * `config.compiler`) so arrival-rate sweeps re-use bucket compiles.
+ * Run against a caller-owned @p cache (whose level must match
+ * `config.compiler`; the simulated device is the cache's own) so
+ * arrival-rate sweeps re-use bucket compiles.
  */
 ServingReport runServeSim(const ServeConfig &config, ModuleCache &cache);
 

@@ -364,7 +364,9 @@ TEST(ArtifactIo, ModuleVersionAndTaskGraphMustAgree)
     const size_t cut = module.rfind(',', graph);
     std::string stripped = module;
     stripped.erase(cut, module.rfind('}') - cut);
-    EXPECT_NO_THROW(parseJson(stripped));
+    JsonReader well_formed(stripped);
+    EXPECT_NO_THROW(well_formed.skipValue());
+    EXPECT_NO_THROW(well_formed.finish());
     writeFile(path, stripped);
     EXPECT_THROW(loadArtifact(root, key), FatalError);
 

@@ -166,6 +166,40 @@ TEST(FleetTraffic, TraceRoundTripsThroughJsonAndDisk)
     std::remove(path.c_str());
 }
 
+TEST(FleetTraffic, TraceMembersLoadInAnyOrder)
+{
+    // External request logs need not match the writer's layout:
+    // members may come in any order and unknown ones are skipped.
+    const std::vector<FleetRequest> canonical = traceFromJson(
+        R"({"kind": "souffle-fleet-trace", "requests": 2, "trace": [)"
+        R"({"id": 0, "t_us": 12.5, "tenant": 1},)"
+        R"({"id": 1, "t_us": 3.25, "tenant": 0}]})");
+    const std::vector<FleetRequest> reordered = traceFromJson(
+        R"({"trace": [{"tenant": 1, "source": "edge", "t_us": 12.5},)"
+        R"({"t_us": 3.25, "tenant": 0, "id": 7}],)"
+        R"("note": {"by": ["a", null]}, "kind": "souffle-fleet-trace"})");
+    ASSERT_EQ(canonical.size(), 2u);
+    ASSERT_EQ(reordered.size(), canonical.size());
+    for (size_t i = 0; i < canonical.size(); ++i) {
+        EXPECT_EQ(reordered[i].id, canonical[i].id);
+        EXPECT_EQ(reordered[i].arrivalUs, canonical[i].arrivalUs);
+        EXPECT_EQ(reordered[i].tenant, canonical[i].tenant);
+    }
+    EXPECT_EQ(canonical[0].arrivalUs, 3.25);
+    EXPECT_EQ(canonical[0].tenant, 0);
+
+    // Each required member is still required.
+    EXPECT_THROW(traceFromJson(R"({"trace": []})"), FatalError);
+    EXPECT_THROW(traceFromJson(R"({"kind": "souffle-fleet-trace"})"),
+                 FatalError);
+    EXPECT_THROW(traceFromJson(R"({"kind": "souffle-fleet-trace",)"
+                               R"("trace": [{"tenant": 0}]})"),
+                 FatalError);
+    EXPECT_THROW(traceFromJson(R"({"kind": "souffle-fleet-trace",)"
+                               R"("trace": [{"t_us": 1}]})"),
+                 FatalError);
+}
+
 TEST(FleetTraffic, RejectsMalformedSpecs)
 {
     EXPECT_THROW(generateTraffic(flatTraffic(0, 1e3)), FatalError);

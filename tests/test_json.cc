@@ -8,6 +8,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,73 +97,120 @@ TEST(JsonWriter, DoublePrecisionControl)
 }
 
 // ----- parser ---------------------------------------------------------------
+//
+// JsonReader is the only parser. These cases drive it the way its
+// callers do: in writer order, or member by member via nextKey.
+
+/** Validate one whole document (any shape), as a loader would. */
+void
+parseDocument(std::string_view text)
+{
+    JsonReader reader(text);
+    reader.skipValue();
+    reader.finish();
+}
+
+std::string
+parseString(std::string_view text)
+{
+    JsonReader reader(text);
+    std::string value = reader.readString();
+    reader.finish();
+    return value;
+}
 
 TEST(JsonParse, Document)
 {
-    const JsonValue doc = parseJson(
-        "  {\"a\": [1, -2.5, 1e3], \"b\": {\"c\": null}, "
-        "\"t\": true, \"f\": false, \"s\": \"x\"}  ");
-    ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(doc.members().size(), 5u);
-    const JsonValue &arr = doc.at("a");
-    ASSERT_TRUE(arr.isArray());
-    ASSERT_EQ(arr.items().size(), 3u);
-    EXPECT_EQ(arr.items()[0].asInt(), 1);
-    EXPECT_EQ(arr.items()[1].asNumber(), -2.5);
-    EXPECT_EQ(arr.items()[2].asNumber(), 1000.0);
-    EXPECT_TRUE(doc.at("b").at("c").isNull());
-    EXPECT_TRUE(doc.at("t").asBool());
-    EXPECT_FALSE(doc.at("f").asBool());
-    EXPECT_EQ(doc.at("s").asString(), "x");
-    EXPECT_EQ(doc.find("missing"), nullptr);
-    EXPECT_THROW(doc.at("missing"), FatalError);
+    JsonReader r("  {\"a\": [1, -2.5, 1e3], \"b\": {\"c\": null}, "
+                 "\"t\": true, \"f\": false, \"s\": \"x\"}  ");
+    r.beginObject();
+    r.key("a");
+    r.beginArray();
+    ASSERT_TRUE(r.hasNext());
+    EXPECT_EQ(r.readInt(), 1);
+    ASSERT_TRUE(r.hasNext());
+    EXPECT_EQ(r.readDouble(), -2.5);
+    ASSERT_TRUE(r.hasNext());
+    EXPECT_EQ(r.readDouble(), 1000.0);
+    EXPECT_FALSE(r.hasNext());
+    r.endArray();
+    r.key("b");
+    r.beginObject();
+    r.key("c");
+    EXPECT_EQ(r.peekKind(), JsonReader::Kind::kNull);
+    r.readNull();
+    r.endObject();
+    r.key("t");
+    EXPECT_TRUE(r.readBool());
+    r.key("f");
+    EXPECT_FALSE(r.readBool());
+    r.key("s");
+    EXPECT_EQ(r.readString(), "x");
+    EXPECT_FALSE(r.hasNext());
+    r.endObject();
+    r.finish();
+
+    JsonReader missing("{\"s\": \"x\"}");
+    missing.beginObject();
+    EXPECT_THROW(missing.key("missing"), FatalError);
 }
 
 TEST(JsonParse, StringEscapes)
 {
-    const JsonValue doc =
-        parseJson("\"a\\\"b\\\\c\\/d\\n\\t\\r\\b\\f\\u0041\"");
-    EXPECT_EQ(doc.asString(), "a\"b\\c/d\n\t\r\b\fA");
+    EXPECT_EQ(parseString("\"a\\\"b\\\\c\\/d\\n\\t\\r\\b\\f\\u0041\""),
+              "a\"b\\c/d\n\t\r\b\fA");
 }
 
 TEST(JsonParse, UnicodeEscapes)
 {
     // BMP char (é = U+00E9), 3-byte char (U+20AC €), and a surrogate
     // pair (U+1D11E musical G clef).
-    EXPECT_EQ(parseJson("\"\\u00e9\"").asString(), "\xc3\xa9");
-    EXPECT_EQ(parseJson("\"\\u20ac\"").asString(), "\xe2\x82\xac");
-    EXPECT_EQ(parseJson("\"\\ud834\\udd1e\"").asString(),
-              "\xf0\x9d\x84\x9e");
+    EXPECT_EQ(parseString("\"\\u00e9\""), "\xc3\xa9");
+    EXPECT_EQ(parseString("\"\\u20ac\""), "\xe2\x82\xac");
+    EXPECT_EQ(parseString("\"\\ud834\\udd1e\""), "\xf0\x9d\x84\x9e");
     // Lone surrogate decodes to U+FFFD, not an exception.
-    EXPECT_EQ(parseJson("\"\\ud834\"").asString(), "\xef\xbf\xbd");
+    EXPECT_EQ(parseString("\"\\ud834\""), "\xef\xbf\xbd");
 }
 
 TEST(JsonParse, RejectsMalformed)
 {
-    EXPECT_THROW(parseJson(""), FatalError);
-    EXPECT_THROW(parseJson("{"), FatalError);
-    EXPECT_THROW(parseJson("[1,]"), FatalError);
-    EXPECT_THROW(parseJson("{\"a\" 1}"), FatalError);
-    EXPECT_THROW(parseJson("{\"a\": 1} trailing"), FatalError);
-    EXPECT_THROW(parseJson("\"unterminated"), FatalError);
-    EXPECT_THROW(parseJson("\"bad\\escape\""), FatalError);
-    EXPECT_THROW(parseJson("\"ctl \x01\""), FatalError);
-    EXPECT_THROW(parseJson("01"), FatalError);
-    EXPECT_THROW(parseJson("1."), FatalError);
-    EXPECT_THROW(parseJson("1e"), FatalError);
-    EXPECT_THROW(parseJson("truthy"), FatalError);
-    EXPECT_THROW(parseJson("\"bad\\uZZZZ\""), FatalError);
+    EXPECT_NO_THROW(parseDocument(" {\"a\": [1, {}, null]} "));
+    EXPECT_THROW(parseDocument(""), FatalError);
+    EXPECT_THROW(parseDocument("{"), FatalError);
+    EXPECT_THROW(parseDocument("[1,]"), FatalError);
+    EXPECT_THROW(parseDocument("{\"a\" 1}"), FatalError);
+    EXPECT_THROW(parseDocument("{\"a\": 1} trailing"), FatalError);
+    EXPECT_THROW(parseDocument("\"unterminated"), FatalError);
+    EXPECT_THROW(parseDocument("\"bad\\escape\""), FatalError);
+    EXPECT_THROW(parseDocument("\"ctl \x01\""), FatalError);
+    EXPECT_THROW(parseDocument("01"), FatalError);
+    EXPECT_THROW(parseDocument("1."), FatalError);
+    EXPECT_THROW(parseDocument("1e"), FatalError);
+    EXPECT_THROW(parseDocument("truthy"), FatalError);
+    EXPECT_THROW(parseDocument("\"bad\\uZZZZ\""), FatalError);
 }
 
 TEST(JsonParse, AccessorKindChecks)
 {
-    const JsonValue doc = parseJson("{\"n\": 1.5}");
-    EXPECT_THROW(doc.at("n").asString(), FatalError);
-    EXPECT_THROW(doc.at("n").asBool(), FatalError);
-    EXPECT_THROW(doc.at("n").items(), FatalError);
-    EXPECT_THROW(doc.at("n").members(), FatalError);
+    // Every typed read of a number that is not one throws.
+    const auto readAs = [](auto read) {
+        JsonReader r("{\"n\": 1.5}");
+        r.beginObject();
+        r.key("n");
+        read(r);
+    };
+    EXPECT_THROW(readAs([](JsonReader &r) { r.readString(); }),
+                 FatalError);
+    EXPECT_THROW(readAs([](JsonReader &r) { r.readBool(); }),
+                 FatalError);
+    EXPECT_THROW(readAs([](JsonReader &r) { r.beginArray(); }),
+                 FatalError);
+    EXPECT_THROW(readAs([](JsonReader &r) { r.beginObject(); }),
+                 FatalError);
     // 1.5 is not an exact integer.
-    EXPECT_THROW(doc.at("n").asInt(), FatalError);
+    EXPECT_THROW(readAs([](JsonReader &r) { r.readInt(); }),
+                 FatalError);
+    EXPECT_NO_THROW(readAs([](JsonReader &r) { r.readDouble(); }));
 }
 
 TEST(JsonParse, WriterRoundTripWithExactDoubles)
@@ -176,19 +227,31 @@ TEST(JsonParse, WriterRoundTripWithExactDoubles)
         json.value(v);
     json.endArray();
 
-    const JsonValue doc = parseJson(json.str());
-    ASSERT_EQ(doc.items().size(), std::size(values));
+    JsonReader r(json.str());
+    std::vector<double> read;
+    r.beginArray();
+    while (r.hasNext())
+        read.push_back(r.readDouble());
+    r.endArray();
+    r.finish();
+    ASSERT_EQ(read.size(), std::size(values));
     for (size_t i = 0; i < std::size(values); ++i)
-        EXPECT_EQ(doc.items()[i].asNumber(), values[i]) << i;
+        EXPECT_EQ(read[i], values[i]) << i;
 }
 
 TEST(JsonParse, ObjectPreservesMemberOrder)
 {
-    const JsonValue doc = parseJson("{\"z\": 1, \"a\": 2, \"m\": 3}");
-    ASSERT_EQ(doc.members().size(), 3u);
-    EXPECT_EQ(doc.members()[0].first, "z");
-    EXPECT_EQ(doc.members()[1].first, "a");
-    EXPECT_EQ(doc.members()[2].first, "m");
+    JsonReader r("{\"z\": 1, \"a\": 2, \"m\": 3}");
+    std::vector<std::pair<std::string, int64_t>> members;
+    r.beginObject();
+    while (r.hasNext()) {
+        std::string name = r.nextKey();
+        members.emplace_back(std::move(name), r.readInt());
+    }
+    r.endObject();
+    r.finish();
+    EXPECT_EQ(members, (std::vector<std::pair<std::string, int64_t>>{
+                           {"z", 1}, {"a", 2}, {"m", 3}}));
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "models/zoo.h"
 #include "serve/server.h"
@@ -402,6 +403,116 @@ TEST(ServeSim, TraceWorkloadDrivesTheLoop)
     EXPECT_EQ(report.completed, 5);
     EXPECT_EQ(report.shedCount, 0);
     EXPECT_DOUBLE_EQ(report.arrivalRatePerSec, 0.0);
+}
+
+/**
+ * renderJson() without its wall-clock member: compile_ms is erased
+ * through the end of the compile_cache object, as DeterministicEndToEnd
+ * does. That also drops the schedule-cache counters, which a scheduler
+ * memo race could move before the memo became single-flight.
+ */
+std::string
+simulatedJson(const ServingReport &report)
+{
+    std::string json = report.renderJson();
+    const size_t pos = json.find("\"compile_ms\"");
+    EXPECT_NE(pos, std::string::npos);
+    json.erase(pos, json.find('}', pos) - pos);
+    return json;
+}
+
+std::string
+jsonDigest(const ServingReport &report)
+{
+    return FingerprintHasher().absorb(simulatedJson(report)).finish().toHex();
+}
+
+TEST(ServeSim, GoldenReports)
+{
+    // FingerprintHasher digests of simulatedJson(), in which every
+    // byte left is simulated. Captured from the serving loop at commit
+    // 2020d8c, before it moved onto cluster::Replica; a change here is
+    // a change of the simulator's behaviour, not noise.
+    struct Golden
+    {
+        std::string name;
+        ServeConfig config;
+        const char *digest;
+    };
+    std::vector<Golden> cases;
+    const char *const kPoissonDigests[] = {
+        "629491d50349b545b3368490859f8914", // BERT@500_b2
+        "c57af01e0385c20c671453634ee88b10", // BERT@500_b4
+        "de32cc006b80f1ff680ac733ea694818", // BERT@8000_b2
+        "821c3c12b8ae4a8fe4f341f2a56b7012", // BERT@8000_b4
+        "a05735ffcd6938ec29351c0b2931ee3d", // BERT@100000_b2
+        "cc21479a76cbf49e9d0559b541fd2dac", // BERT@100000_b4
+        "67040c263e64b8e2c317e9765bfaf5da", // EfficientNet@500_b2
+        "13a4a959766c032c05db7bb0eea79433", // EfficientNet@500_b4
+        "4debb689cfe4081669c9b199c01fe017", // EfficientNet@8000_b2
+        "ac5f946482da5bbe42655b8306bd09ff", // EfficientNet@8000_b4
+        "2685e48004f79e0908e76b2609495444", // EfficientNet@100000_b2
+        "db90c34ce0bad39797280bbc7bce611a", // EfficientNet@100000_b4
+    };
+    int index = 0;
+    for (const char *model : {"BERT", "EfficientNet"}) {
+        for (double rate : {500.0, 8000.0, 100000.0}) {
+            for (const std::vector<int> &buckets :
+                 {std::vector<int>{1, 8}, std::vector<int>{1, 2, 4, 8}}) {
+                ServeConfig config = tinyBertConfig(rate);
+                config.model = model;
+                config.batcher.buckets = buckets;
+                cases.push_back({std::string(model) + "@"
+                                     + std::to_string(int(rate)) + "_b"
+                                     + std::to_string(buckets.size()),
+                                 config, kPoissonDigests[index++]});
+            }
+        }
+    }
+    ServeConfig trace = tinyBertConfig(0);
+    trace.numStreams = 1;
+    trace.workload.traceArrivalsUs = {0,    5,    5,    40,   41,
+                                      42,   43,   44,   45,   46,
+                                      47,   300,  2500, 2501, 9000,
+                                      9000, 9001, 9002, 12000};
+    cases.push_back({"trace", trace, "4a096974cdc424e0daaaf4ec43f703de"});
+    ServeConfig prewarm = tinyBertConfig(8000);
+    prewarm.model = "EfficientNet";
+    prewarm.numStreams = 3;
+    prewarm.prewarm = true;
+    cases.push_back(
+        {"prewarm", prewarm, "96bcb0057ea04c33e08e3a26c89d3dba"});
+
+    for (const Golden &golden : cases) {
+        EXPECT_EQ(jsonDigest(runServeSim(golden.config)), golden.digest)
+            << golden.name;
+    }
+}
+
+TEST(ServeSim, UnbatchableModelsServeBucketOne)
+{
+    // LSTM has no batched builder, so a {1, 8} bucket list serves it
+    // exactly like {1}: nothing waits for a batch that cannot form.
+    for (double rate : {2000.0, 50000.0}) {
+        ServeConfig batched = tinyBertConfig(rate);
+        batched.model = "LSTM";
+        batched.batcher.buckets = {1, 8};
+        ServeConfig single = batched;
+        single.batcher.buckets = {1};
+        ServingReport with;
+        ASSERT_NO_THROW(with = runServeSim(batched)) << rate;
+        const ServingReport without = runServeSim(single);
+        const auto without_buckets = [](std::string json) {
+            const size_t pos = json.find("\"buckets\": ");
+            EXPECT_NE(pos, std::string::npos);
+            json.erase(pos, json.find("],", pos) + 2 - pos);
+            return json;
+        };
+        EXPECT_EQ(without_buckets(simulatedJson(with)),
+                  without_buckets(simulatedJson(without)))
+            << rate;
+        EXPECT_DOUBLE_EQ(with.meanBatchSize(), 1.0);
+    }
 }
 
 TEST(SimCountersOp, PlusEqualsSumsEveryField)
