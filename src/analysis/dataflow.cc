@@ -75,12 +75,9 @@ maxScope(FenceScope a, FenceScope b)
 } // namespace
 
 KernelDataflow::KernelDataflow(const TeProgram &program,
-                               const GlobalAnalysis &analysis,
                                const Kernel &kernel)
     : prog(program), kern(kernel)
 {
-    (void)analysis;
-
     // 1. Flatten the stages into one linear stream and collect every
     //    fence plus, per stage, each tensor's access positions.
     const int num_stages = static_cast<int>(kernel.stages.size());

@@ -127,8 +127,7 @@ struct FenceVerdict
 class KernelDataflow
 {
   public:
-    KernelDataflow(const TeProgram &program,
-                   const GlobalAnalysis &analysis, const Kernel &kernel);
+    KernelDataflow(const TeProgram &program, const Kernel &kernel);
 
     const Kernel &kernel() const { return kern; }
 

@@ -12,10 +12,6 @@ namespace {
 
 constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/** The batchers' own admission is disabled — shedding is decided by
- *  the replica-level graduated bound. */
-constexpr int kUnboundedQueue = 1 << 30;
-
 } // namespace
 
 const char *
@@ -50,7 +46,6 @@ Replica::Replica(int id, ReplicaSpec spec,
     SOUFFLE_REQUIRE(maxQueueDepth >= 1,
                     "replica queue bound must be >= 1, got "
                         << maxQueueDepth);
-    batcherTemplate.maxQueueDepth = kUnboundedQueue;
     freeAt.assign(static_cast<size_t>(replicaSpec.numStreams), 0.0);
 }
 
@@ -115,8 +110,7 @@ Replica::admit(int request_id, const std::string &model, int priority,
         ++shed;
         return false;
     }
-    queueFor(model).enqueue(serve::Request{request_id, now_us},
-                            now_us);
+    queueFor(model).enqueue(serve::Request{request_id, now_us});
     return true;
 }
 

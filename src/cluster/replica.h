@@ -23,8 +23,8 @@
  *  - *priority admission*: one total queue bound covers all of a
  *    replica's queues, graduated by SLO priority — priority p is
  *    admitted only below `maxQueueDepth >> p`, so best-effort
- *    traffic sheds first as the queue fills (the batchers' own
- *    bounds are disabled; shedding is decided here).
+ *    traffic sheds first as the queue fills (the batchers queue
+ *    whatever they are given; shedding is decided here only).
  *  - *warm set*: the first dispatch of a (model, bucket) this replica
  *    has not warmed charges a compile stall from the fleet's shared
  *    `FleetCompileService` — `coldCompileUs` when the fleet itself is
@@ -74,11 +74,11 @@ class Replica
 {
   public:
     /**
-     * @p batcher_cfg seeds every per-model queue (its own
-     * maxQueueDepth is overridden — admission is the replica-level
-     * @p max_queue_depth, graduated by priority). Initial replicas
-     * start kUp; autoscaled replicas are created kDown and go
-     * through beginSpinUp once provisioned.
+     * @p batcher_cfg seeds every per-model queue (the batchers do not
+     * shed: admission is the replica-level @p max_queue_depth,
+     * graduated by priority). Initial replicas start kUp; autoscaled
+     * replicas are created kDown and go through beginSpinUp once
+     * provisioned.
      */
     Replica(int id, ReplicaSpec spec, serve::BatcherConfig batcher_cfg,
             int max_queue_depth, double cold_compile_us,

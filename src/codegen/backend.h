@@ -44,7 +44,8 @@ class CodeGenBackend
     /**
      * True if the emitted code targets a GPU-style device with real
      * launch geometry and grid synchronization. GPU-only lint rules
-     * (grid-sync-race, resource-caps) auto-skip when this is false.
+     * (unsynced-dep, redundant-sync, resource-caps) auto-skip when
+     * this is false.
      */
     virtual bool targetsGpu() const = 0;
 

@@ -93,7 +93,7 @@ buildStage(const TeProgram &program, const GlobalAnalysis &analysis,
     // fused behind a one-relies-on-many producer needs the block's
     // partial reduction complete before it reads, so a __syncthreads()
     // barrier separates it from the producer (paper Sec. 6.3; the
-    // grid-sync-race lint rule checks this invariant).
+    // unsynced-dep lint rule checks this invariant).
     std::unordered_set<TensorId> pending_reduce_outputs;
     for (int te_id : plan.tes) {
         const TensorExpr &te = program.te(te_id);

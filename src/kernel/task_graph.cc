@@ -1,7 +1,6 @@
 #include "kernel/task_graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "common/logging.h"
@@ -87,20 +86,35 @@ TaskGraph::toString() const
     return os.str();
 }
 
+std::vector<int>
+topologicalOrder(const std::vector<std::vector<int>> &succ)
+{
+    std::vector<int> indeg(succ.size(), 0);
+    for (const std::vector<int> &list : succ)
+        for (int v : list)
+            ++indeg[static_cast<size_t>(v)];
+    std::vector<int> order;
+    order.reserve(succ.size());
+    for (size_t u = 0; u < succ.size(); ++u)
+        if (indeg[u] == 0)
+            order.push_back(static_cast<int>(u));
+    for (size_t head = 0; head < order.size(); ++head) {
+        for (int v : succ[static_cast<size_t>(order[head])])
+            if (--indeg[static_cast<size_t>(v)] == 0)
+                order.push_back(v);
+    }
+    return order;
+}
+
 ReducedTaskEdges
 reduceTaskEdges(int num_tasks, const std::vector<TaskEdge> &derived)
 {
     const auto n = static_cast<size_t>(std::max(0, num_tasks));
     const size_t words = (n + 63) / 64;
-    auto row = [words](std::vector<uint64_t> &matrix, size_t task) {
-        return matrix.data() + task * words;
-    };
 
     // First edge per (from, to) pair, in derivation order.
-    ReducedTaskEdges result;
     std::vector<TaskEdge> unique_edges;
     std::vector<std::vector<int>> succ(n);
-    std::vector<int> indeg(n, 0);
     {
         std::vector<uint64_t> seen(n * words, 0);
         for (const TaskEdge &edge : derived) {
@@ -111,60 +125,25 @@ reduceTaskEdges(int num_tasks, const std::vector<TaskEdge> &derived)
                             "malformed task edge " << edge.toString());
             const auto from = static_cast<size_t>(edge.from);
             const auto to = static_cast<size_t>(edge.to);
-            uint64_t &word = row(seen, from)[to / 64];
+            uint64_t &word = seen[from * words + to / 64];
             const uint64_t mask = uint64_t{1} << (to % 64);
             if (word & mask)
                 continue;
             word |= mask;
             unique_edges.push_back(edge);
             succ[from].push_back(edge.to);
-            ++indeg[to];
-        }
-    }
-
-    // Topological order (Kahn); processing it in reverse completes
-    // each task's successors' closures before its own.
-    std::vector<int> order;
-    order.reserve(n);
-    for (size_t u = 0; u < n; ++u)
-        if (indeg[u] == 0)
-            order.push_back(static_cast<int>(u));
-    for (size_t head = 0; head < order.size(); ++head) {
-        for (int v : succ[static_cast<size_t>(order[head])])
-            if (--indeg[static_cast<size_t>(v)] == 0)
-                order.push_back(v);
-    }
-    SOUFFLE_REQUIRE(order.size() == n, "task graph has a cycle");
-
-    std::vector<uint64_t> reach(n * words, 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        uint64_t *reach_u = row(reach, static_cast<size_t>(*it));
-        for (int v : succ[static_cast<size_t>(*it)]) {
-            const auto to = static_cast<size_t>(v);
-            reach_u[to / 64] |= uint64_t{1} << (to % 64);
-            const uint64_t *reach_v = row(reach, to);
-            for (size_t w = 0; w < words; ++w)
-                reach_u[w] |= reach_v[w];
         }
     }
 
     // u -> v is implied iff another successor of u reaches v; no task
-    // reaches itself, so that is: v is in the union of the successors'
-    // closures.
-    std::vector<uint64_t> implied(n * words, 0);
-    for (size_t u = 0; u < n; ++u) {
-        uint64_t *implied_u = row(implied, u);
-        for (int w : succ[u]) {
-            const uint64_t *reach_w = row(reach, static_cast<size_t>(w));
-            for (size_t i = 0; i < words; ++i)
-                implied_u[i] |= reach_w[i];
-        }
-    }
+    // reaches itself, so that is: some successor of u reaches v.
+    const TaskGraphReachability reach(succ);
+    ReducedTaskEdges result;
     for (const TaskEdge &edge : unique_edges) {
-        const auto to = static_cast<size_t>(edge.to);
-        if ((row(implied, static_cast<size_t>(edge.from))[to / 64]
-             >> (to % 64))
-            & 1U)
+        const std::vector<int> &next = succ[static_cast<size_t>(edge.from)];
+        if (std::any_of(next.begin(), next.end(), [&](int w) {
+                return reach.reaches(w, edge.to);
+            }))
             ++result.pruned;
         else
             result.edges.push_back(edge);
@@ -172,27 +151,25 @@ reduceTaskEdges(int num_tasks, const std::vector<TaskEdge> &derived)
     return result;
 }
 
-TaskGraphReachability::TaskGraphReachability(const TaskGraph &graph)
-    : numTasks(graph.numTasks())
+TaskGraphReachability::TaskGraphReachability(
+    const std::vector<std::vector<int>> &succ)
+    : numTasks(static_cast<int>(succ.size())),
+      words((succ.size() + 63) / 64)
 {
-    closure.assign(
-        static_cast<size_t>(numTasks) * static_cast<size_t>(numTasks),
-        false);
-    const std::vector<std::vector<int>> succ = graph.successors();
-    for (int from = 0; from < numTasks; ++from) {
-        std::deque<int> queue(succ[static_cast<size_t>(from)].begin(),
-                              succ[static_cast<size_t>(from)].end());
-        while (!queue.empty()) {
-            const int to = queue.front();
-            queue.pop_front();
-            const size_t bit = static_cast<size_t>(from)
-                                   * static_cast<size_t>(numTasks)
-                               + static_cast<size_t>(to);
-            if (closure[bit])
-                continue;
-            closure[bit] = true;
-            for (int next : succ[static_cast<size_t>(to)])
-                queue.push_back(next);
+    const std::vector<int> order = topologicalOrder(succ);
+    SOUFFLE_REQUIRE(order.size() == succ.size(),
+                    "task graph has a cycle");
+    // In reverse topological order every successor's row is complete
+    // before its predecessors OR it in.
+    closure.assign(succ.size() * words, 0);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        uint64_t *row_u = closure.data() + static_cast<size_t>(*it) * words;
+        for (int v : succ[static_cast<size_t>(*it)]) {
+            const auto to = static_cast<size_t>(v);
+            row_u[to / 64] |= uint64_t{1} << (to % 64);
+            const uint64_t *row_v = closure.data() + to * words;
+            for (size_t w = 0; w < words; ++w)
+                row_u[w] |= row_v[w];
         }
     }
 }
@@ -202,9 +179,10 @@ TaskGraphReachability::reaches(int from, int to) const
 {
     if (from < 0 || to < 0 || from >= numTasks || to >= numTasks)
         return false;
-    return closure[static_cast<size_t>(from)
-                       * static_cast<size_t>(numTasks)
-                   + static_cast<size_t>(to)];
+    const auto bit = static_cast<size_t>(to);
+    return (closure[static_cast<size_t>(from) * words + bit / 64]
+            >> (bit % 64))
+           & 1U;
 }
 
 } // namespace souffle

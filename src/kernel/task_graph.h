@@ -96,6 +96,13 @@ struct TaskGraph
     std::string toString() const;
 };
 
+/**
+ * Kahn topological order of tasks 0..succ.size()-1 over successor
+ * lists. Shorter than the task count iff the graph has a cycle: the
+ * tasks on or behind a cycle never become ready.
+ */
+std::vector<int> topologicalOrder(const std::vector<std::vector<int>> &succ);
+
 /** The edges a scheduler enforces, and how many it can skip. */
 struct ReducedTaskEdges
 {
@@ -114,31 +121,35 @@ struct ReducedTaskEdges
  * scheduler an event signal+wait, and reachability is unchanged.
  * Every edge must satisfy 0 <= from != to < num_tasks; throws
  * FatalError if the edges form a cycle.
- *
- * Reachability is held as one bit row of ceil(n/64) words per task,
- * so the closure costs O(E * n / 64).
  */
 ReducedTaskEdges reduceTaskEdges(int num_tasks,
                                  const std::vector<TaskEdge> &derived);
 
 /**
- * Transitive-closure reachability over a task graph, for coverage
- * queries: a dependence def-stage -> use-stage is ordered iff the
- * graph reaches use from def. Built once (BFS per task over the
- * deduplicated successor lists); queries are O(1) bit tests.
+ * Transitive-closure reachability over an acyclic task graph, for
+ * coverage queries: a dependence def-stage -> use-stage is ordered iff
+ * the graph reaches use from def. Built once by walking the
+ * topological order in reverse, OR-ing each successor's closure into
+ * its predecessor's: one bit row of ceil(n/64) words per task, so
+ * O(E * n / 64). Queries are O(1) bit tests. Throws FatalError if the
+ * graph has a cycle.
  */
 class TaskGraphReachability
 {
   public:
-    explicit TaskGraphReachability(const TaskGraph &graph);
+    /** Over the successor lists of tasks 0..succ.size()-1. */
+    explicit TaskGraphReachability(
+        const std::vector<std::vector<int>> &succ);
 
     /** True iff an edge path orders task @p from before task @p to. */
     bool reaches(int from, int to) const;
 
   private:
     int numTasks = 0;
-    /** closure[from * numTasks + to] */
-    std::vector<bool> closure;
+    /** Words per bit row. */
+    size_t words = 0;
+    /** Bit `to` of row `from`: closure[from * words + to / 64]. */
+    std::vector<uint64_t> closure;
 };
 
 } // namespace souffle

@@ -60,7 +60,7 @@ struct LintLocation
 /** One finding of one lint rule. */
 struct Diagnostic
 {
-    /** Stable kebab-case rule id, e.g. "grid-sync-race". */
+    /** Stable kebab-case rule id, e.g. "unsynced-dep". */
     std::string rule;
     Severity severity = Severity::kWarning;
     LintLocation location;
@@ -68,7 +68,7 @@ struct Diagnostic
     /** Optional suggestion for fixing the finding. */
     std::string fixHint;
 
-    /** One-line rendering: "error[grid-sync-race] <loc>: <msg>". */
+    /** One-line rendering: "error[unsynced-dep] <loc>: <msg>". */
     std::string toString() const;
 };
 

@@ -53,9 +53,9 @@ struct LintInput
     const MemoryPlan *plan = nullptr;
     /**
      * Codegen backend of the compile under inspection (a
-     * CodeGenBackendRegistry name). GPU-only rules (grid-sync-race,
-     * resource-caps) auto-skip with a note-level diagnostic when the
-     * backend does not target a GPU.
+     * CodeGenBackendRegistry name). GPU-only rules (unsynced-dep,
+     * redundant-sync, resource-caps) auto-skip with a note-level
+     * diagnostic when the backend does not target a GPU.
      */
     std::string backend = "cuda";
 };

@@ -2,10 +2,6 @@
  * @file
  * The builtin lint-rule catalogue (see lint.h for the framework).
  *
- *   grid-sync-race  cross-stage RAW/WAR dependences inside a merged
- *                   kernel must be separated by grid.sync(); a
- *                   one-relies-on-many producer fused into its
- *                   consumer's stage needs a block barrier (Sec. 6.3/6.4)
  *   affine-bounds   every read map's interval over the iteration box
  *                   stays inside the producing tensor's shape unless
  *                   the read is masked by an affine predicate (Sec. 6.2)
@@ -23,8 +19,11 @@
  *                   interval (analysis/verify_plan.h)
  *   unsynced-dep    instruction-granular happens-before: every
  *                   def/use edge of the kernel dataflow is ordered by
- *                   a fence of sufficient scope (finer than
- *                   grid-sync-race's stage granularity)
+ *                   a fence of sufficient scope: cross-stage RAW/WAR
+ *                   edges by grid.sync() (a block barrier in
+ *                   single-block kernels), a one-relies-on-many
+ *                   producer fused into its consumer's stage by a
+ *                   block barrier (Sec. 6.3/6.4)
  *   redundant-sync  fences the dataflow proves removable (subsumed by
  *                   an adjacent stronger fence or a kernel boundary,
  *                   or covering no dependence edge)
@@ -34,18 +33,18 @@
  *                   writer chains) is covered by task-graph
  *                   reachability; intra-task edges ride program order
  *
- * On megakernel modules (CompiledModule::megakernel) the grid-sync
- * rules accept task-graph reachability in place of grid.sync(): the
- * persistent kernel deleted its whole-grid fences and re-expressed
- * their ordering as scheduler-enforced task edges.
+ * Each ordering property has one owner. On megakernel modules
+ * (CompiledModule::megakernel) the persistent kernel deleted its
+ * whole-grid fences and re-expressed their ordering as
+ * scheduler-enforced task edges, so unsynced-dep checks only the
+ * intra-stage edges there and task-graph-dep owns every cross-stage
+ * one, on every backend.
  */
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/dataflow.h"
@@ -80,213 +79,6 @@ skipForNonGpuBackend(const LintInput &input, const std::string &rule_id,
                "");
     return true;
 }
-
-// ---------------------------------------------------------------------
-// grid-sync-race
-// ---------------------------------------------------------------------
-
-class GridSyncRaceRule : public LintRule
-{
-  public:
-    std::string id() const override { return "grid-sync-race"; }
-
-    std::string
-    description() const override
-    {
-        return "cross-stage dependences in merged kernels are covered "
-               "by grid.sync(); fused one-relies-on-many producers by "
-               "a block barrier";
-    }
-
-    void
-    run(const LintInput &input, LintReport &report) const override
-    {
-        if (input.module == nullptr)
-            return;
-        if (skipForNonGpuBackend(input, id(), report))
-            return;
-        const TeProgram &program = input.program;
-        // A megakernel deleted its grid syncs; the scheduler enforces
-        // cross-stage ordering via task edges instead.
-        std::unique_ptr<TaskGraphReachability> reach;
-        if (input.module->megakernel())
-            reach = std::make_unique<TaskGraphReachability>(
-                input.module->taskGraph);
-        for (const Kernel &kernel : input.module->kernels) {
-            checkCrossStage(program, input.analysis, kernel,
-                            reach.get(), report);
-            for (size_t s = 0; s < kernel.stages.size(); ++s)
-                checkIntraStage(program, kernel,
-                                static_cast<int>(s), report);
-        }
-    }
-
-  private:
-    /** Index of the compute instruction producing @p tensor, or -1. */
-    static int
-    computeIndexOf(const KernelStage &stage, TensorId tensor)
-    {
-        for (size_t i = 0; i < stage.instrs.size(); ++i) {
-            const Instr &instr = stage.instrs[i];
-            if (instr.kind == InstrKind::kCompute
-                && instr.tensor == tensor)
-                return static_cast<int>(i);
-        }
-        return -1;
-    }
-
-    void
-    checkCrossStage(const TeProgram &program,
-                    const GlobalAnalysis &analysis, const Kernel &kernel,
-                    const TaskGraphReachability *reach,
-                    LintReport &report) const
-    {
-        if (kernel.stages.size() < 2 || kernel.numBlocks() <= 1)
-            return; // single block: block barriers suffice
-
-        // Stage index of every TE in this kernel.
-        std::unordered_map<int, int> stage_of;
-        for (size_t s = 0; s < kernel.stages.size(); ++s) {
-            for (int te_id : kernel.stages[s].teIds)
-                stage_of.emplace(te_id, static_cast<int>(s));
-        }
-        // hasSync[s]: stage s contains at least one grid.sync().
-        std::vector<bool> has_sync(kernel.stages.size(), false);
-        for (size_t s = 0; s < kernel.stages.size(); ++s) {
-            for (const Instr &instr : kernel.stages[s].instrs) {
-                if (instr.kind == InstrKind::kGridSync) {
-                    has_sync[s] = true;
-                    break;
-                }
-            }
-        }
-        auto synced_between = [&](int def_stage, int use_stage) {
-            if (reach != nullptr
-                && reach->reaches(def_stage, use_stage))
-                return true;
-            for (int s = def_stage + 1; s <= use_stage; ++s)
-                if (has_sync[s])
-                    return true;
-            return false;
-        };
-
-        // RAW: a TE reading a tensor defined in an earlier stage, and
-        // WAR: a TE writing a tensor read by an earlier stage (cannot
-        // arise from the SSA builder, but hand-edited or future IR
-        // can), must be separated by a grid.sync().
-        for (size_t s = 0; s < kernel.stages.size(); ++s) {
-            for (int te_id : kernel.stages[s].teIds) {
-                const TensorExpr &te = program.te(te_id);
-                for (TensorId in : te.inputs) {
-                    const int producer = program.tensor(in).producer;
-                    auto it = producer >= 0 ? stage_of.find(producer)
-                                            : stage_of.end();
-                    if (it == stage_of.end()
-                        || it->second >= static_cast<int>(s))
-                        continue;
-                    // Dependence confirmed by the global analysis
-                    // (def-use edge implies reachability).
-                    if (!analysis.reachable(producer, te_id))
-                        continue;
-                    if (synced_between(it->second,
-                                       static_cast<int>(s)))
-                        continue;
-                    std::ostringstream msg;
-                    msg << "RAW race: TE " << te_id << " ('"
-                        << te.name << "') in stage " << s
-                        << " reads tensor '"
-                        << program.tensor(in).name
-                        << "' produced by TE " << producer
-                        << " in stage " << it->second
-                        << " with no grid.sync() between them and "
-                        << kernel.numBlocks() << " blocks in flight";
-                    LintLocation loc;
-                    loc.kernel = kernel.name;
-                    loc.stage = static_cast<int>(s);
-                    loc.teId = te_id;
-                    report.add(id(), Severity::kError, loc, msg.str(),
-                               "insert a kGridSync at the head of the "
-                               "consuming stage");
-                }
-                // WAR: this TE's output was read by an earlier stage.
-                for (size_t earlier = 0; earlier < s; ++earlier) {
-                    bool reads = false;
-                    for (int other : kernel.stages[earlier].teIds) {
-                        const TensorExpr &o = program.te(other);
-                        if (std::find(o.inputs.begin(),
-                                      o.inputs.end(), te.output)
-                            != o.inputs.end()) {
-                            reads = true;
-                            break;
-                        }
-                    }
-                    if (!reads
-                        || synced_between(static_cast<int>(earlier),
-                                          static_cast<int>(s)))
-                        continue;
-                    std::ostringstream msg;
-                    msg << "WAR race: TE " << te_id << " in stage "
-                        << s << " overwrites tensor '"
-                        << program.tensor(te.output).name
-                        << "' read by stage " << earlier
-                        << " with no grid.sync() between them";
-                    LintLocation loc;
-                    loc.kernel = kernel.name;
-                    loc.stage = static_cast<int>(s);
-                    loc.teId = te_id;
-                    report.add(id(), Severity::kError, loc, msg.str(),
-                               "insert a kGridSync at the head of the "
-                               "writing stage");
-                }
-            }
-        }
-    }
-
-    void
-    checkIntraStage(const TeProgram &program, const Kernel &kernel,
-                    int stage_index, LintReport &report) const
-    {
-        const KernelStage &stage = kernel.stages[stage_index];
-        std::unordered_set<int> in_stage(stage.teIds.begin(),
-                                         stage.teIds.end());
-        for (int te_id : stage.teIds) {
-            const TensorExpr &te = program.te(te_id);
-            for (TensorId in : te.inputs) {
-                const int producer = program.tensor(in).producer;
-                if (producer < 0 || !in_stage.count(producer)
-                    || !program.te(producer).hasReduce())
-                    continue;
-                const int def = computeIndexOf(stage, in);
-                const int use = computeIndexOf(stage, te.output);
-                if (def < 0 || use < 0)
-                    continue; // stream lacks the computes entirely;
-                              // the instr-stream rule owns that
-                bool barriered = false;
-                for (int i = def + 1; i < use; ++i) {
-                    if (stage.instrs[i].kind == InstrKind::kBarrier) {
-                        barriered = true;
-                        break;
-                    }
-                }
-                if (barriered)
-                    continue;
-                std::ostringstream msg;
-                msg << "one-relies-on-many producer TE " << producer
-                    << " ('" << program.te(producer).name
-                    << "') is fused into the same stage as consumer "
-                    << "TE " << te_id
-                    << " with no block barrier between their computes";
-                LintLocation loc;
-                loc.kernel = kernel.name;
-                loc.stage = stage_index;
-                loc.teId = te_id;
-                report.add(id(), Severity::kError, loc, msg.str(),
-                           "emit a kBarrier between the producer's "
-                           "reduction and the consumer's compute");
-            }
-        }
-    }
-};
 
 // ---------------------------------------------------------------------
 // affine-bounds
@@ -813,19 +605,13 @@ class UnsyncedDepRule : public LintRule
         // Megakernel modules deleted their grid fences: cross-stage
         // edges are ordered by task-graph events instead, and the
         // task-graph-dep rule owns their coverage.
-        std::unique_ptr<TaskGraphReachability> reach;
-        if (input.module->megakernel())
-            reach = std::make_unique<TaskGraphReachability>(
-                input.module->taskGraph);
+        const bool megakernel = input.module->megakernel();
         for (const Kernel &kernel : input.module->kernels) {
             if (kernel.usesLibrary)
                 continue; // libraries synchronize internally
-            const KernelDataflow dataflow(input.program,
-                                          input.analysis, kernel);
+            const KernelDataflow dataflow(input.program, kernel);
             for (const DepEdge &edge : dataflow.uncoveredEdges()) {
-                if (reach != nullptr
-                    && edge.def.stage != edge.use.stage
-                    && reach->reaches(edge.def.stage, edge.use.stage))
+                if (megakernel && edge.def.stage != edge.use.stage)
                     continue;
                 LintLocation loc;
                 loc.kernel = kernel.name;
@@ -874,8 +660,7 @@ class RedundantSyncRule : public LintRule
         for (const Kernel &kernel : input.module->kernels) {
             if (kernel.usesLibrary)
                 continue;
-            const KernelDataflow dataflow(input.program,
-                                          input.analysis, kernel);
+            const KernelDataflow dataflow(input.program, kernel);
             for (const FenceVerdict &verdict :
                  dataflow.fenceVerdicts()) {
                 if (verdict.action == FenceVerdict::Action::kKeep)
@@ -963,25 +748,10 @@ class TaskGraphDepRule : public LintRule
         if (malformed)
             return;
 
-        // Acyclicity (Kahn): a cycle deadlocks the scheduler.
-        std::vector<int> indeg(static_cast<size_t>(num_tasks), 0);
+        // Acyclicity: a cycle deadlocks the scheduler.
         const auto succs = graph.successors();
-        for (int t = 0; t < num_tasks; ++t)
-            for (int s : succs[static_cast<size_t>(t)])
-                ++indeg[static_cast<size_t>(s)];
-        std::deque<int> frontier;
-        for (int t = 0; t < num_tasks; ++t)
-            if (indeg[static_cast<size_t>(t)] == 0)
-                frontier.push_back(t);
-        int ordered = 0;
-        while (!frontier.empty()) {
-            const int t = frontier.front();
-            frontier.pop_front();
-            ++ordered;
-            for (int s : succs[static_cast<size_t>(t)])
-                if (--indeg[static_cast<size_t>(s)] == 0)
-                    frontier.push_back(s);
-        }
+        const auto ordered =
+            static_cast<int>(topologicalOrder(succs).size());
         if (ordered != num_tasks) {
             report.add(id(), Severity::kError, loc,
                        "task graph has a dependence cycle ("
@@ -993,12 +763,11 @@ class TaskGraphDepRule : public LintRule
             return;
         }
 
-        const TaskGraphReachability reach(graph);
+        const TaskGraphReachability reach(succs);
 
         // Coverage 1: every cross-stage RAW/WAR of the kernel
         // dataflow, independently recomputed here.
-        const KernelDataflow dataflow(input.program, input.analysis,
-                                      kernel);
+        const KernelDataflow dataflow(input.program, kernel);
         for (const DepEdge &edge : dataflow.edges()) {
             if (edge.def.stage == edge.use.stage)
                 continue; // intra-task program order covers it
@@ -1062,9 +831,6 @@ void registerBuiltinLintRules(LintRuleRegistry &registry);
 void
 registerBuiltinLintRules(LintRuleRegistry &registry)
 {
-    registry.add("grid-sync-race", [] {
-        return std::make_unique<GridSyncRaceRule>();
-    });
     registry.add("affine-bounds", [] {
         return std::make_unique<AffineBoundsRule>();
     });

@@ -146,38 +146,24 @@ taskWavefrontsFor(const TeProgram &program, const CompiledModule &module,
     }
 
     std::vector<std::vector<int>> succs(static_cast<size_t>(n));
-    std::vector<int> indeg(static_cast<size_t>(n), 0);
-    for (const auto &[from, to] : pairs) {
+    for (const auto &[from, to] : pairs)
         succs[static_cast<size_t>(from)].push_back(to);
-        ++indeg[static_cast<size_t>(to)];
-    }
-    std::vector<int> level(static_cast<size_t>(n), 0);
-    std::vector<int> frontier;
-    for (int t = 0; t < n; ++t)
-        if (indeg[static_cast<size_t>(t)] == 0)
-            frontier.push_back(t);
-    int processed = 0;
-    int max_level = -1;
-    while (!frontier.empty()) {
-        std::vector<int> next;
-        for (int t : frontier) {
-            ++processed;
-            max_level =
-                std::max(max_level, level[static_cast<size_t>(t)]);
-            for (int s : succs[static_cast<size_t>(t)]) {
-                level[static_cast<size_t>(s)] =
-                    std::max(level[static_cast<size_t>(s)],
-                             level[static_cast<size_t>(t)] + 1);
-                if (--indeg[static_cast<size_t>(s)] == 0)
-                    next.push_back(s);
-            }
-        }
-        frontier = std::move(next);
-    }
-    SOUFFLE_REQUIRE(processed == n,
+    const std::vector<int> order = topologicalOrder(succs);
+    SOUFFLE_REQUIRE(order.size() == static_cast<size_t>(n),
                     "task graph has a cycle: only "
-                        << processed << " of " << n
+                        << order.size() << " of " << n
                         << " tasks topologically ordered");
+    // A task's level is its longest path from a source; in
+    // topological order every predecessor's level is final first.
+    std::vector<int> level(static_cast<size_t>(n), 0);
+    int max_level = -1;
+    for (int t : order) {
+        const int lt = level[static_cast<size_t>(t)];
+        max_level = std::max(max_level, lt);
+        for (int s : succs[static_cast<size_t>(t)])
+            level[static_cast<size_t>(s)] =
+                std::max(level[static_cast<size_t>(s)], lt + 1);
+    }
 
     std::vector<std::vector<int>> waves(
         static_cast<size_t>(max_level + 1));
@@ -202,32 +188,22 @@ NativeModule::NativeModule(const std::string &c_source,
     const std::string stem = dir + "/mod-" + hasher.finish().toHex();
     soPath = stem + ".so";
 
-    if (options.keepSource) {
-        srcPath = stem + ".c";
-        writeFileAtomic(srcPath, c_source);
-    }
+    srcPath = stem + ".c";
+    writeFileAtomic(srcPath, c_source);
 
     if (::access(soPath.c_str(), F_OK) == 0) {
         // Content-addressed name: an existing object was built from
         // byte-identical source, so the compile can be skipped.
         reused = true;
     } else {
-        const std::string src =
-            options.keepSource ? srcPath
-                               : stem + ".build." + std::to_string(::getpid())
-                                     + ".c";
-        if (!options.keepSource)
-            writeFileAtomic(src, c_source);
         const std::string temp_so =
             soPath + ".tmp." + std::to_string(::getpid());
         const std::string log =
             stem + ".log." + std::to_string(::getpid());
         const std::string cmd = hostCompiler() + " -O2 -fPIC -shared -x c '"
-                                + src + "' -o '" + temp_so + "' -lm 2> '"
+                                + srcPath + "' -o '" + temp_so + "' -lm 2> '"
                                 + log + "'";
         const int status = std::system(cmd.c_str());
-        if (!options.keepSource)
-            std::remove(src.c_str());
         if (status != 0) {
             const std::string diag =
                 readFileContents(log).value_or("");

@@ -54,8 +54,6 @@ struct NativeBuildOptions
      * Empty = `$TMPDIR`/`/tmp` + "/souffle-native".
      */
     std::string workDir;
-    /** Keep the generated .c file next to the object (debugging). */
-    bool keepSource = true;
 };
 
 /**
@@ -95,7 +93,7 @@ class NativeModule
     /** Path of the loaded shared object. */
     const std::string &objectPath() const { return soPath; }
 
-    /** Path of the persisted source, empty if keepSource was off. */
+    /** Path of the generated .c file, kept next to the object. */
     const std::string &sourcePath() const { return srcPath; }
 
     /** True when the object existed before this build (warm dir). */

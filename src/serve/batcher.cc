@@ -19,20 +19,12 @@ DynamicBatcher::DynamicBatcher(BatcherConfig config)
         cfg.buckets.end());
     SOUFFLE_REQUIRE(cfg.maxQueueDelayUs >= 0.0,
                     "maxQueueDelayUs must be >= 0");
-    SOUFFLE_REQUIRE(cfg.maxQueueDepth >= 1,
-                    "maxQueueDepth must be >= 1");
 }
 
-bool
-DynamicBatcher::enqueue(const Request &request, double now_us)
+void
+DynamicBatcher::enqueue(const Request &request)
 {
-    (void)now_us; // arrival time travels inside the request
-    if (depth() >= cfg.maxQueueDepth) {
-        ++shed;
-        return false;
-    }
     queue.push_back(request);
-    return true;
 }
 
 int

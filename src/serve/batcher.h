@@ -2,7 +2,7 @@
 
 /**
  * @file
- * Dynamic batching with batch-size buckets and admission control.
+ * Dynamic batching with batch-size buckets.
  *
  * Requests queue in arrival order. The batcher dispatches in *bucket*
  * sizes only — each bucket has a compiled module in the serving cache
@@ -15,10 +15,10 @@
  *    the largest bucket that fits the queue;
  *  - otherwise hold, accumulating a bigger batch.
  *
- * Admission control: when the queue already holds `maxQueueDepth`
- * requests, new arrivals are shed (rejected) instead of queued —
- * bounding both queueing latency and simulator memory under
- * overload.
+ * The batcher queues every request it is given. Admission control
+ * lives one level up, in `cluster::Replica::admit`: one bound over
+ * all of a replica's queues, graduated by priority, configured from
+ * `maxQueueDepth`.
  */
 
 #include <deque>
@@ -37,7 +37,7 @@ struct BatcherConfig
     std::vector<int> buckets = {1, 2, 4, 8};
     /** Max time the oldest request may wait before a forced flush. */
     double maxQueueDelayUs = 2000.0;
-    /** Queue bound beyond which arrivals are shed. */
+    /** Queue bound beyond which the replica sheds arrivals. */
     int maxQueueDepth = 64;
 };
 
@@ -47,8 +47,8 @@ class DynamicBatcher
   public:
     explicit DynamicBatcher(BatcherConfig config);
 
-    /** Admit @p request at @p now_us; false when shed (queue full). */
-    bool enqueue(const Request &request, double now_us);
+    /** Queue @p request behind every earlier one. */
+    void enqueue(const Request &request);
 
     /**
      * Batch size to dispatch at @p now_us, or 0 to keep waiting.
@@ -68,7 +68,6 @@ class DynamicBatcher
     double nextDeadlineUs() const;
 
     int depth() const { return static_cast<int>(queue.size()); }
-    int shedCount() const { return shed; }
     const BatcherConfig &config() const { return cfg; }
 
     static constexpr double kNever =
@@ -77,7 +76,6 @@ class DynamicBatcher
   private:
     BatcherConfig cfg;
     std::deque<Request> queue;
-    int shed = 0;
 };
 
 } // namespace souffle::serve

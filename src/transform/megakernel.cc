@@ -117,7 +117,7 @@ applyMegakernel(const TeProgram &program, const GlobalAnalysis &analysis,
 
     // RAW/WAR edges: the merged stream's dataflow, projected onto
     // stage pairs.
-    const KernelDataflow dataflow(program, analysis, merged);
+    const KernelDataflow dataflow(program, merged);
     for (const DepEdge &edge : dataflow.edges()) {
         if (edge.def.stage == edge.use.stage)
             continue; // intra-task program order covers it

@@ -9,15 +9,13 @@
 namespace souffle {
 
 SyncElimStats
-eliminateRedundantSyncs(const TeProgram &program,
-                        const GlobalAnalysis &analysis,
-                        CompiledModule &module)
+eliminateRedundantSyncs(const TeProgram &program, CompiledModule &module)
 {
     SyncElimStats stats;
     for (Kernel &kernel : module.kernels) {
         if (kernel.usesLibrary)
             continue; // opaque cost model: streams are not rewritten
-        const KernelDataflow dataflow(program, analysis, kernel);
+        const KernelDataflow dataflow(program, kernel);
         const std::vector<FenceVerdict> verdicts =
             dataflow.fenceVerdicts();
 
@@ -68,8 +66,8 @@ SyncElimPass::run(CompileContext &ctx)
         return;
     const double before_us =
         simulate(ctx.result.module, ctx.options.device).totalUs;
-    const SyncElimStats stats = eliminateRedundantSyncs(
-        ctx.program(), ctx.analysis(), ctx.result.module);
+    const SyncElimStats stats =
+        eliminateRedundantSyncs(ctx.program(), ctx.result.module);
     const double after_us =
         simulate(ctx.result.module, ctx.options.device).totalUs;
 

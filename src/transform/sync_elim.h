@@ -55,7 +55,6 @@ struct SyncElimStats
  * kernels (closed-source cost models) are left untouched.
  */
 SyncElimStats eliminateRedundantSyncs(const TeProgram &program,
-                                      const GlobalAnalysis &analysis,
                                       CompiledModule &module);
 
 /**

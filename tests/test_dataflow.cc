@@ -210,9 +210,8 @@ const std::vector<std::string> kVerifierRules = {
 TEST(KernelDataflow, CrossStageRawEdgeIsFoundAndGridRequired)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     const Kernel kernel = buildTwoStageKernel(prog, 4, true);
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
 
     ASSERT_EQ(dataflow.edges().size(), 1u);
     const DepEdge &edge = dataflow.edges()[0];
@@ -231,10 +230,9 @@ TEST(KernelDataflow, CrossStageRawEdgeIsFoundAndGridRequired)
 TEST(KernelDataflow, HappensBeforeRequiresAnInterveningFence)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
 
     const Kernel with_sync = buildTwoStageKernel(prog, 4, true);
-    const KernelDataflow covered(prog, analysis, with_sync);
+    const KernelDataflow covered(prog, with_sync);
     ASSERT_EQ(covered.edges().size(), 1u);
     const DepEdge &edge = covered.edges()[0];
     EXPECT_TRUE(covered.ordered(edge.def, edge.use, FenceScope::kGrid));
@@ -242,7 +240,7 @@ TEST(KernelDataflow, HappensBeforeRequiresAnInterveningFence)
     EXPECT_TRUE(covered.uncoveredEdges().empty());
 
     const Kernel no_sync = buildTwoStageKernel(prog, 4, false);
-    const KernelDataflow uncovered(prog, analysis, no_sync);
+    const KernelDataflow uncovered(prog, no_sync);
     ASSERT_EQ(uncovered.edges().size(), 1u);
     const DepEdge &bare = uncovered.edges()[0];
     EXPECT_FALSE(
@@ -258,12 +256,11 @@ TEST(KernelDataflow, HappensBeforeRequiresAnInterveningFence)
 TEST(KernelDataflow, BlockFenceDoesNotSatisfyAGridRequirement)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     Kernel kernel = buildTwoStageKernel(prog, 4, false);
     // A __syncthreads() where a grid.sync() is needed: still a race.
     kernel.stages[1].instrs.insert(kernel.stages[1].instrs.begin(),
                                    makeInstr(InstrKind::kBarrier));
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     ASSERT_EQ(dataflow.edges().size(), 1u);
     const DepEdge &edge = dataflow.edges()[0];
     EXPECT_TRUE(dataflow.ordered(edge.def, edge.use,
@@ -276,9 +273,8 @@ TEST(KernelDataflow, BlockFenceDoesNotSatisfyAGridRequirement)
 TEST(KernelDataflow, SingleBlockCrossStageEdgeNeedsOnlyABlockFence)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     const Kernel kernel = buildTwoStageKernel(prog, 1, true);
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     ASSERT_EQ(dataflow.edges().size(), 1u);
     EXPECT_EQ(dataflow.edges()[0].required, FenceScope::kBlock);
 }
@@ -286,7 +282,6 @@ TEST(KernelDataflow, SingleBlockCrossStageEdgeNeedsOnlyABlockFence)
 TEST(KernelDataflow, SameStageReductionConsumerNeedsABlockFence)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     const TensorId a = prog.te(0).inputs[0];
     const TensorId w = prog.te(0).inputs[1];
     const TensorId m = prog.te(0).output;
@@ -305,7 +300,7 @@ TEST(KernelDataflow, SameStageReductionConsumerNeedsABlockFence)
                  makeInstr(InstrKind::kStoreGlobal, o)};
     kernel.stages = {s0};
 
-    const KernelDataflow bare(prog, analysis, kernel);
+    const KernelDataflow bare(prog, kernel);
     ASSERT_EQ(bare.edges().size(), 1u);
     EXPECT_EQ(bare.edges()[0].required, FenceScope::kBlock);
     EXPECT_EQ(bare.uncoveredEdges().size(), 1u);
@@ -314,7 +309,7 @@ TEST(KernelDataflow, SameStageReductionConsumerNeedsABlockFence)
     kernel.stages[0].instrs.insert(
         kernel.stages[0].instrs.begin() + 3,
         makeInstr(InstrKind::kBarrier));
-    const KernelDataflow fixed(prog, analysis, kernel);
+    const KernelDataflow fixed(prog, kernel);
     EXPECT_TRUE(fixed.uncoveredEdges().empty());
 }
 
@@ -325,9 +320,8 @@ TEST(KernelDataflow, SameStageReductionConsumerNeedsABlockFence)
 TEST(FenceVerdicts, NeededGridSyncIsKept)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     const Kernel kernel = buildTwoStageKernel(prog, 4, true);
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     const std::vector<FenceVerdict> verdicts =
         dataflow.fenceVerdicts();
     ASSERT_EQ(verdicts.size(), 1u);
@@ -337,12 +331,11 @@ TEST(FenceVerdicts, NeededGridSyncIsKept)
 TEST(FenceVerdicts, SpillBarrierAdjacentToGridSyncIsSubsumed)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     Kernel kernel = buildTwoStageKernel(prog, 4, true);
     // The reuse-cache spill barrier at the end of stage 0, directly
     // followed by stage 1's grid.sync().
     kernel.stages[0].instrs.push_back(makeInstr(InstrKind::kBarrier));
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     const std::vector<FenceVerdict> verdicts =
         dataflow.fenceVerdicts();
     ASSERT_EQ(verdicts.size(), 2u);
@@ -357,10 +350,9 @@ TEST(FenceVerdicts, SpillBarrierAdjacentToGridSyncIsSubsumed)
 TEST(FenceVerdicts, TrailingBarrierIsRemovable)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     Kernel kernel = buildTwoStageKernel(prog, 4, true);
     kernel.stages[1].instrs.push_back(makeInstr(InstrKind::kBarrier));
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     const std::vector<FenceVerdict> verdicts =
         dataflow.fenceVerdicts();
     ASSERT_EQ(verdicts.size(), 2u);
@@ -373,13 +365,12 @@ TEST(FenceVerdicts, TrailingBarrierIsRemovable)
 TEST(FenceVerdicts, LoneSpillBarrierMidStreamIsConservativelyKept)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     Kernel kernel = buildTwoStageKernel(prog, 4, false);
     // A spill barrier between the stages with *no* adjacent fence and
     // instructions on both sides: the shared-memory recycling it
     // guards is invisible to tensor def/use chains, so it must stay.
     kernel.stages[0].instrs.push_back(makeInstr(InstrKind::kBarrier));
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     const std::vector<FenceVerdict> verdicts =
         dataflow.fenceVerdicts();
     ASSERT_EQ(verdicts.size(), 1u);
@@ -389,9 +380,8 @@ TEST(FenceVerdicts, LoneSpillBarrierMidStreamIsConservativelyKept)
 TEST(FenceVerdicts, GridSyncOverBlockScopeEdgeIsDowngradable)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     const Kernel kernel = buildTwoStageKernel(prog, 1, true);
-    const KernelDataflow dataflow(prog, analysis, kernel);
+    const KernelDataflow dataflow(prog, kernel);
     const std::vector<FenceVerdict> verdicts =
         dataflow.fenceVerdicts();
     ASSERT_EQ(verdicts.size(), 1u);
@@ -408,7 +398,6 @@ TEST(FenceVerdicts, GridSyncOverBlockScopeEdgeIsDowngradable)
 TEST(SyncElim, RemovesSubsumedAndTrailingBarriersOnly)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     CompiledModule module;
     Kernel kernel = buildTwoStageKernel(prog, 4, true);
     kernel.stages[0].instrs.push_back(makeInstr(InstrKind::kBarrier));
@@ -416,7 +405,7 @@ TEST(SyncElim, RemovesSubsumedAndTrailingBarriersOnly)
     module.kernels.push_back(kernel);
 
     const SyncElimStats stats =
-        eliminateRedundantSyncs(prog, analysis, module);
+        eliminateRedundantSyncs(prog, module);
     EXPECT_EQ(stats.barriersRemoved, 2);
     EXPECT_EQ(stats.gridSyncsRemoved, 0);
     EXPECT_EQ(stats.syncsDowngraded, 0);
@@ -426,34 +415,32 @@ TEST(SyncElim, RemovesSubsumedAndTrailingBarriersOnly)
     EXPECT_EQ(countFences(out, InstrKind::kBarrier), 0);
     EXPECT_EQ(countFences(out, InstrKind::kGridSync), 1);
     // The stream is still fully ordered afterwards.
-    const KernelDataflow dataflow(prog, analysis, out);
+    const KernelDataflow dataflow(prog, out);
     EXPECT_TRUE(dataflow.uncoveredEdges().empty());
     // And a second run finds nothing left to do (fixed point).
     const SyncElimStats again =
-        eliminateRedundantSyncs(prog, analysis, module);
+        eliminateRedundantSyncs(prog, module);
     EXPECT_EQ(again.kernelsTouched, 0);
 }
 
 TEST(SyncElim, DowngradesSingleBlockGridSync)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     CompiledModule module;
     module.kernels.push_back(buildTwoStageKernel(prog, 1, true));
 
     const SyncElimStats stats =
-        eliminateRedundantSyncs(prog, analysis, module);
+        eliminateRedundantSyncs(prog, module);
     EXPECT_EQ(stats.syncsDowngraded, 1);
     EXPECT_EQ(countFences(module.kernels[0], InstrKind::kGridSync), 0);
     EXPECT_EQ(countFences(module.kernels[0], InstrKind::kBarrier), 1);
-    const KernelDataflow dataflow(prog, analysis, module.kernels[0]);
+    const KernelDataflow dataflow(prog, module.kernels[0]);
     EXPECT_TRUE(dataflow.uncoveredEdges().empty());
 }
 
 TEST(SyncElim, LeavesLibraryKernelsAndNeededFencesAlone)
 {
     const TeProgram prog = buildMatmulReluProgram();
-    const GlobalAnalysis analysis(prog);
     CompiledModule module;
     Kernel lib = buildTwoStageKernel(prog, 4, true);
     lib.usesLibrary = true;
@@ -462,7 +449,7 @@ TEST(SyncElim, LeavesLibraryKernelsAndNeededFencesAlone)
     module.kernels.push_back(buildTwoStageKernel(prog, 4, true));
 
     const SyncElimStats stats =
-        eliminateRedundantSyncs(prog, analysis, module);
+        eliminateRedundantSyncs(prog, module);
     EXPECT_EQ(stats.barriersRemoved, 0);
     EXPECT_EQ(stats.gridSyncsRemoved, 0);
     EXPECT_EQ(stats.kernelsTouched, 0);

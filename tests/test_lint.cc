@@ -131,7 +131,7 @@ lintModule(const TeProgram &prog, const CompiledModule &module,
 }
 
 // ---------------------------------------------------------------------
-// grid-sync-race
+// Grid-sync races, checked by unsynced-dep
 // ---------------------------------------------------------------------
 
 TEST(GridSyncRace, CleanTwoStageKernelPasses)
@@ -141,7 +141,7 @@ TEST(GridSyncRace, CleanTwoStageKernelPasses)
     module.kernels.push_back(
         buildTwoStageKernel(prog, /*num_blocks=*/4, /*with_sync=*/true));
     const LintReport report =
-        lintModule(prog, module, {"grid-sync-race"});
+        lintModule(prog, module, {"unsynced-dep"});
     EXPECT_TRUE(report.empty()) << report.renderText();
 }
 
@@ -152,10 +152,10 @@ TEST(GridSyncRace, MissingGridSyncIsARawError)
     module.kernels.push_back(
         buildTwoStageKernel(prog, /*num_blocks=*/4, /*with_sync=*/false));
     const LintReport report =
-        lintModule(prog, module, {"grid-sync-race"});
+        lintModule(prog, module, {"unsynced-dep"});
     ASSERT_EQ(report.errors(), 1) << report.renderText();
     const Diagnostic &diag = report.diagnostics()[0];
-    EXPECT_EQ(diag.rule, "grid-sync-race");
+    EXPECT_EQ(diag.rule, "unsynced-dep");
     EXPECT_EQ(diag.location.kernel, "mm_relu");
     EXPECT_EQ(diag.location.stage, 1);
     EXPECT_NE(diag.message.find("RAW"), std::string::npos);
@@ -163,14 +163,22 @@ TEST(GridSyncRace, MissingGridSyncIsARawError)
 
 TEST(GridSyncRace, SingleBlockKernelsAreExempt)
 {
-    // One block in flight: __syncthreads() ordering suffices, the
-    // cross-stage rule must not fire even without a grid.sync().
+    // One block in flight: a __syncthreads() orders the stages, so no
+    // grid.sync() is needed. An unfenced cross-stage read still races.
     const TeProgram prog = buildMatmulReluProgram();
     CompiledModule module;
     module.kernels.push_back(
         buildTwoStageKernel(prog, /*num_blocks=*/1, /*with_sync=*/false));
+    const LintReport unfenced =
+        lintModule(prog, module, {"unsynced-dep"});
+    ASSERT_EQ(unfenced.errors(), 1) << unfenced.renderText();
+    EXPECT_NE(unfenced.diagnostics()[0].message.find("block fence"),
+              std::string::npos);
+
+    std::vector<Instr> &relu = module.kernels[0].stages[1].instrs;
+    relu.insert(relu.begin(), makeInstr(InstrKind::kBarrier));
     const LintReport report =
-        lintModule(prog, module, {"grid-sync-race"});
+        lintModule(prog, module, {"unsynced-dep"});
     EXPECT_TRUE(report.empty()) << report.renderText();
 }
 
@@ -187,7 +195,7 @@ TEST(GridSyncRace, ReversedStagesAreAWarError)
     CompiledModule module;
     module.kernels.push_back(std::move(kernel));
     const LintReport report =
-        lintModule(prog, module, {"grid-sync-race"});
+        lintModule(prog, module, {"unsynced-dep"});
     ASSERT_GE(report.errors(), 1) << report.renderText();
     EXPECT_NE(report.diagnostics()[0].message.find("WAR"),
               std::string::npos);
@@ -216,9 +224,9 @@ TEST(GridSyncRace, FusedReduceConsumerNeedsABlockBarrier)
     module.kernels.push_back(kernel);
 
     const LintReport broken =
-        lintModule(prog, module, {"grid-sync-race"});
+        lintModule(prog, module, {"unsynced-dep"});
     ASSERT_EQ(broken.errors(), 1) << broken.renderText();
-    EXPECT_NE(broken.diagnostics()[0].message.find("barrier"),
+    EXPECT_NE(broken.diagnostics()[0].message.find("block fence"),
               std::string::npos);
 
     // Inserting the barrier between the computes fixes it.
@@ -226,7 +234,7 @@ TEST(GridSyncRace, FusedReduceConsumerNeedsABlockBarrier)
         module.kernels[0].stages[0].instrs.begin() + 1,
         makeInstr(InstrKind::kBarrier));
     const LintReport fixed =
-        lintModule(prog, module, {"grid-sync-race"});
+        lintModule(prog, module, {"unsynced-dep"});
     EXPECT_TRUE(fixed.empty()) << fixed.renderText();
 }
 
@@ -535,7 +543,7 @@ TEST(LintMutation, DroppedGridSyncsMakeTheHazardRuleFire)
     ASSERT_GT(dropped, 0)
         << "tiny BERT at V3 should contain grid-sync kernels";
 
-    const LintReport report = Linter({"grid-sync-race"}).run(ctx);
+    const LintReport report = Linter({"unsynced-dep"}).run(ctx);
     EXPECT_GE(report.errors(), 1) << "dropping " << dropped
                                   << " grid.sync()s must surface a race";
 
@@ -656,10 +664,9 @@ TEST(LintRegistry, BuiltinCatalogueIsRegisteredAndSorted)
 {
     const std::vector<std::string> ids = builtinLintRuleIds();
     EXPECT_EQ(ids, (std::vector<std::string>{
-                       "affine-bounds", "dead-te", "grid-sync-race",
-                       "instr-stream", "plan-overlap", "redundant-sync",
-                       "resource-caps", "task-graph-dep",
-                       "unsynced-dep"}));
+                       "affine-bounds", "dead-te", "instr-stream",
+                       "plan-overlap", "redundant-sync", "resource-caps",
+                       "task-graph-dep", "unsynced-dep"}));
     for (const std::string &id : ids) {
         const auto rule = LintRuleRegistry::global().create(id);
         EXPECT_EQ(rule->id(), id);

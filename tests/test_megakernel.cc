@@ -11,8 +11,9 @@
  *    the module in its V4 grid-sync form;
  *  - the task graph is transitively reduced but still covers every
  *    cross-stage dataflow edge (task-graph-dep lints clean; dropping
- *    one RAW edge makes it fire), and the bit-row reduction matches a
- *    brute-force DFS oracle on seeded random DAGs;
+ *    one RAW edge makes it, and no other rule, fire once), and the
+ *    bit-row reduction matches a brute-force DFS oracle on seeded
+ *    random DAGs;
  *  - serialization: the module format v2 round-trips the task graph
  *    bit-exactly, unknown versions are rejected, and the artifact
  *    store round-trips a V5 compile (with corruption still caught by
@@ -355,24 +356,53 @@ TEST(Megakernel, TaskGraphDepLintsCleanOnEveryAppliedModel)
     }
 }
 
+/** Drop the first RAW edge of @p module's task graph; false if none. */
+bool
+dropFirstRawEdge(CompiledModule &module)
+{
+    auto &edges = module.taskGraph.edges;
+    const auto victim = std::find_if(
+        edges.begin(), edges.end(), [](const TaskEdge &edge) {
+            return edge.kind == TaskEdgeKind::kRaw;
+        });
+    if (victim == edges.end())
+        return false;
+    edges.erase(victim);
+    return true;
+}
+
 TEST(Megakernel, DroppingOneRawEdgeFiresTaskGraphDep)
 {
     const Compiled v5 = compileTinyAt("BERT", SouffleLevel::kV5);
     ASSERT_TRUE(v5.module.megakernel());
     CompiledModule mutated = v5.module;
-    auto &edges = mutated.taskGraph.edges;
-    const auto victim = std::find_if(
-        edges.begin(), edges.end(), [](const TaskEdge &edge) {
-            return edge.kind == TaskEdgeKind::kRaw;
-        });
-    ASSERT_NE(victim, edges.end());
-    edges.erase(victim);
+    ASSERT_TRUE(dropFirstRawEdge(mutated));
     // The graph is transitively reduced, so no alternate path covers
     // the dropped producer->consumer ordering.
     const LintReport report = lintTaskGraphDep(v5, mutated);
     EXPECT_GE(report.errors(), 1);
     EXPECT_NE(report.renderText().find("task-graph-dep"),
               std::string::npos);
+}
+
+TEST(Megakernel, DroppedRawEdgeIsOneErrorFromTheDefaultLinter)
+{
+    // Cross-stage ordering in a megakernel has one owner: the missing
+    // edge is reported once, by task-graph-dep, and by no fence rule.
+    const Compiled v5 = compileTinyAt("BERT", SouffleLevel::kV5);
+    ASSERT_TRUE(v5.module.megakernel());
+    CompiledModule mutated = v5.module;
+    ASSERT_TRUE(dropFirstRawEdge(mutated));
+    const GlobalAnalysis analysis(v5.program);
+    LintInput input{v5.program, analysis, DeviceSpec::a100()};
+    input.module = &mutated;
+    const LintReport report = Linter().run(input);
+    ASSERT_EQ(report.errors(), 1) << report.renderText();
+    for (const Diagnostic &diag : report.diagnostics()) {
+        if (diag.severity == Severity::kError) {
+            EXPECT_EQ(diag.rule, "task-graph-dep") << diag.toString();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/replica.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "models/zoo.h"
@@ -111,10 +112,10 @@ TEST(Batcher, DispatchesTheLargestFullBucket)
     config.maxQueueDelayUs = 1000.0;
     DynamicBatcher batcher(config);
     for (int i = 0; i < 3; ++i)
-        batcher.enqueue(Request{i, 10.0}, 10.0);
+        batcher.enqueue(Request{i, 10.0});
     // 3 queued < bucket 4, nothing overdue: keep accumulating.
     EXPECT_EQ(batcher.readyBatch(10.0, /*drain=*/false), 0);
-    batcher.enqueue(Request{3, 11.0}, 11.0);
+    batcher.enqueue(Request{3, 11.0});
     EXPECT_EQ(batcher.readyBatch(11.0, false), 4);
     EXPECT_EQ(batcher.pop(4).size(), 4u);
     EXPECT_EQ(batcher.depth(), 0);
@@ -127,7 +128,7 @@ TEST(Batcher, TimeoutFlushesTheLargestFittingBucket)
     config.maxQueueDelayUs = 500.0;
     DynamicBatcher batcher(config);
     for (int i = 0; i < 3; ++i)
-        batcher.enqueue(Request{i, 100.0}, 100.0);
+        batcher.enqueue(Request{i, 100.0});
     EXPECT_EQ(batcher.readyBatch(100.0, false), 0);
     EXPECT_DOUBLE_EQ(batcher.nextDeadlineUs(), 600.0);
     // Past the deadline: flush the largest bucket <= depth (2, not 8).
@@ -141,21 +142,27 @@ TEST(Batcher, TimeoutFlushesTheLargestFittingBucket)
 TEST(Batcher, DrainForcesPartialBatchesOut)
 {
     DynamicBatcher batcher(BatcherConfig{});
-    batcher.enqueue(Request{0, 5.0}, 5.0);
+    batcher.enqueue(Request{0, 5.0});
     EXPECT_EQ(batcher.readyBatch(5.0, /*drain=*/false), 0);
     EXPECT_EQ(batcher.readyBatch(5.0, /*drain=*/true), 1);
 }
 
 TEST(Batcher, ShedsArrivalsBeyondTheQueueBound)
 {
+    // The bound a batcher is configured with is enforced by the
+    // replica that owns it; priority 0 gets the full bound.
     BatcherConfig config;
     config.maxQueueDepth = 2;
-    DynamicBatcher batcher(config);
-    EXPECT_TRUE(batcher.enqueue(Request{0, 1.0}, 1.0));
-    EXPECT_TRUE(batcher.enqueue(Request{1, 1.0}, 1.0));
-    EXPECT_FALSE(batcher.enqueue(Request{2, 1.0}, 1.0));
-    EXPECT_EQ(batcher.shedCount(), 1);
-    EXPECT_EQ(batcher.depth(), 2);
+    cluster::FleetCompileService service(/*tiny=*/true, SouffleOptions{});
+    cluster::Replica replica(0, cluster::ReplicaSpec{}, config,
+                             config.maxQueueDepth,
+                             /*cold_compile_us=*/0.0,
+                             /*warm_load_us=*/0.0, service);
+    EXPECT_TRUE(replica.admit(0, "BERT", /*priority=*/0, 1.0));
+    EXPECT_TRUE(replica.admit(1, "BERT", /*priority=*/0, 1.0));
+    EXPECT_FALSE(replica.admit(2, "BERT", /*priority=*/0, 1.0));
+    EXPECT_EQ(replica.shedCount(), 1);
+    EXPECT_EQ(replica.queueDepth(), 2);
     EXPECT_DOUBLE_EQ(DynamicBatcher(BatcherConfig{}).nextDeadlineUs(),
                      DynamicBatcher::kNever);
 }
